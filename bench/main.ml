@@ -777,33 +777,26 @@ let campaign_bench () =
 
 (* ---- SSA hot path: sparse propensity engine, flat IR vs AST ---- *)
 
-(* Every Table-1 model, direct method. Four configurations:
+(* Every Table-1 model, direct method. Three configurations:
    dependency-driven sparse updates on the flat-IR evaluator (the
    default), the same sparse engine on the AST closure evaluator (the
-   --eval ast reference), the full-recompute reference, and the batched
-   lane-block driver ([Sim.run_batch_rngs], eight replicates in
-   lockstep over SoA state). All must produce byte-identical traces;
-   sparse wins by doing O(deps) instead of O(R) propensity evaluations
-   per firing, the IR wins on top by constant-folding parameter
-   arithmetic (a Hill response costs one runtime pow instead of three)
-   and dispatching flat instead of chasing a closure tree, and the
-   batched driver wins again by decoding each stale instruction once
-   for every lane that needs it. Writes the machine-readable results to
+   reference semantics), and the full-recompute reference. All must
+   produce byte-identical traces; sparse wins by doing O(deps) instead
+   of O(R) propensity evaluations per firing, and the IR wins on top by
+   constant-folding parameter arithmetic (a Hill response costs one
+   runtime pow instead of three) and dispatching flat instead of
+   chasing a closure tree. Writes the machine-readable results to
    BENCH_ssa.json (CI uploads it as an artifact). *)
-(* Dense-coupling stress model for the batched driver: [n] species,
-   conversions in every ordered pair, each law reading BOTH endpoint
-   counts through a saturating mass-action form
+(* Dense-coupling stress model, the arithmetic-heavy IR-vs-AST row:
+   [n] species, conversions in every ordered pair, each law reading
+   BOTH endpoint counts through a saturating mass-action form
    (k * S_i * (10 + S_j) * (1 + S_i/2000) * (1 + S_j/2000)). A firing
    then invalidates every reaction touching either endpoint — an
    affected set of ~4(n-1) of the n(n-1) reactions — so propensity
    refreshes dominate the step, and the laws compile to ~10 plain
-   arithmetic instructions whose decode the lane-block amortises
-   across requesting lanes. Table-1 circuits are the opposite regime
-   twice over: the sparse engine already cut them to ~1-2 refreshes
-   per firing, and their Hill responses compile to one superinstruction
-   dominated by [pow], leaving batching nothing to share there. Total
-   count is conserved (pure conversions), so propensities stay finite
-   and bounded. *)
+   arithmetic instructions instead of the single pow-dominated Hill
+   superinstruction of a Table-1 gate. Total count is conserved (pure
+   conversions), so propensities stay finite and bounded. *)
 let dense_coupling_model ~n =
   let module Model = Glc_model.Model in
   let module Math = Glc_model.Math in
@@ -839,12 +832,11 @@ let dense_coupling_model ~n =
 
 let bench_ssa () =
   section
-    "SSA -- sparse propensity engine, flat IR vs AST vs batched \
-     (Table-1 models + dense-coupling stress, direct method)";
+    "SSA -- sparse propensity engine, flat IR vs AST (Table-1 models + \
+     dense-coupling stress, direct method)";
   let module Sim = Glc_ssa.Sim in
   let module Compiled = Glc_ssa.Compiled in
   let module Metrics = Glc_obs.Metrics in
-  let module Rng = Glc_ssa.Rng in
   let t_end = 2_000. in
   let seed = 42 in
   let repeats = 7 in
@@ -896,9 +888,9 @@ let bench_ssa () =
     "seed %d, %g t.u. under the paper's input stimulus, best of %d runs; \
      'evals/step' is propensity evaluations per reaction firing\n\n" seed
     t_end repeats;
-  Printf.printf "%-14s %5s %9s %12s %12s %7s %10s %10s %8s %11s %8s\n"
-    "circuit" "R" "steps" "evals(spar)" "evals(full)" "ratio" "steps/s ir"
-    "steps/s ast" "ir-gain" "steps/s bat" "bat-gain";
+  Printf.printf "%-14s %5s %9s %12s %12s %7s %10s %10s %8s\n" "circuit"
+    "R" "steps" "evals(spar)" "evals(full)" "ratio" "steps/s ir"
+    "steps/s ast" "ir-gain";
   let cases =
     List.map
       (fun circuit ->
@@ -936,52 +928,6 @@ let bench_ssa () =
             name;
         assert (steps_i = steps_f);
         assert (steps_i = steps_a);
-        (* batched lane-block: [lanes] replicates in lockstep vs the
-           same [lanes] as back-to-back scalar runs, both phases fed the
-           same per-lane streams — the traces must agree byte for byte,
-           and the wall ratio is the pure batching win. Interleaved
-           within each repeat for the same noise-fairness as above. *)
-        let lanes = 8 in
-        let c_b = Compiled.compile ~path:Compiled.Ir_batch model in
-        let cfg_b = Sim.config ~seed ~algorithm:Sim.Direct ~t_end () in
-        let mk_rngs () =
-          Array.init lanes (fun l -> Rng.create ((seed * 1_000) + l))
-        in
-        let wall_bs = ref infinity and wall_bb = ref infinity in
-        let steps_b = ref 0 and ident_b = ref true in
-        for _ = 1 to repeats do
-          let srngs = mk_rngs () in
-          let t0 = Unix.gettimeofday () in
-          let scalar =
-            Array.map
-              (fun rng -> Sim.run_compiled_rng ~events ~rng cfg_b c_b)
-              srngs
-          in
-          let w_s = Unix.gettimeofday () -. t0 in
-          let brngs = mk_rngs () in
-          let t1 = Unix.gettimeofday () in
-          let batched = Sim.run_batch_rngs ~events ~rngs:brngs cfg_b c_b in
-          let w_b = Unix.gettimeofday () -. t1 in
-          if w_s < !wall_bs then wall_bs := w_s;
-          if w_b < !wall_bb then wall_bb := w_b;
-          steps_b :=
-            Array.fold_left
-              (fun acc (_, st) -> acc + st.Sim.reactions_fired)
-              0 scalar;
-          ident_b :=
-            !ident_b
-            && Array.for_all2
-                 (fun (tr, _) -> function
-                   | Ok (tr_b, _) ->
-                       String.equal (Trace.to_csv tr) (Trace.to_csv tr_b)
-                   | Error _ -> false)
-                 scalar batched
-        done;
-        if not !ident_b then
-          Printf.printf
-            "!! %s: batched lane traces DIVERGE from scalar runs\n"
-            name;
-        let identical = identical && !ident_b in
         let per_step evals steps =
           if steps = 0 then 0. else float_of_int evals /. float_of_int steps
         in
@@ -989,18 +935,15 @@ let bench_ssa () =
           if wall <= 0. then 0. else float_of_int steps /. wall
         in
         Printf.printf
-          "%-14s %5d %9d %12.2f %12.2f %6.1fx %10.0f %11.0f %7.2fx %11.0f \
-           %7.2fx\n"
-          name n_r steps_i
+          "%-14s %5d %9d %12.2f %12.2f %6.1fx %10.0f %11.0f %7.2fx\n" name
+          n_r steps_i
           (per_step evals_s steps_i)
           (per_step evals_f steps_f)
           (float_of_int evals_f /. float_of_int (max 1 evals_s))
           (rate steps_i wall_i) (rate steps_a wall_a)
-          (wall_a /. wall_i)
-          (rate !steps_b !wall_bb)
-          (!wall_bs /. !wall_bb);
+          (wall_a /. wall_i);
         ( name, n_r, steps_i, evals_s, wall_i, evals_f, wall_f, wall_a,
-          identical, lanes, !steps_b, !wall_bs, !wall_bb ))
+          identical ))
       cases
   in
   let buf = Buffer.create 4096 in
@@ -1011,65 +954,40 @@ let bench_ssa () =
         \"circuits\": [\n" seed t_end repeats);
   List.iteri
     (fun i
-         ( name, n_r, steps, evals_s, wall_i, evals_f, wall_f, wall_a,
-           identical, lanes, steps_b, wall_bs, wall_bb ) ->
+         (name, n_r, steps, evals_s, wall_i, evals_f, wall_f, wall_a, identical)
+       ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"name\": %S, \"reactions\": %d, \"steps\": %d,\n     \
             \"sparse\": {\"propensity_evals\": %d, \"wall_s\": %.4f},\n     \
             \"full\": {\"propensity_evals\": %d, \"wall_s\": %.4f},\n     \
             \"ast\": {\"wall_s\": %.4f},\n     \
-            \"batch\": {\"lanes\": %d, \"steps\": %d, \"wall_s\": %.4f, \
-            \"scalar_wall_s\": %.4f, \"speedup\": %.2f},\n     \
             \"evals_ratio\": %.2f, \"ir_speedup\": %.2f, \
             \"byte_identical\": %b}%s\n"
-           name n_r steps evals_s wall_i evals_f wall_f
-           wall_a lanes steps_b wall_bb wall_bs
-           (wall_bs /. wall_bb)
+           name n_r steps evals_s wall_i evals_f wall_f wall_a
            (float_of_int evals_f /. float_of_int (max 1 evals_s))
            (wall_a /. wall_i) identical
            (if i = List.length rows - 1 then "" else ",")))
     rows;
-  let total_ir =
+  let total_ir, total_ast =
     List.fold_left
-      (fun acc (_, _, _, _, w, _, _, _, _, _, _, _, _) -> acc +. w)
-      0. rows
-  in
-  let total_ast =
-    List.fold_left
-      (fun acc (_, _, _, _, _, _, _, w, _, _, _, _, _) -> acc +. w)
-      0. rows
-  in
-  let total_bs =
-    List.fold_left
-      (fun acc (_, _, _, _, _, _, _, _, _, _, _, w, _) -> acc +. w)
-      0. rows
-  in
-  let total_bb =
-    List.fold_left
-      (fun acc (_, _, _, _, _, _, _, _, _, _, _, _, w) -> acc +. w)
-      0. rows
+      (fun (ir, ast) (_, _, _, _, w_i, _, _, w_a, _) -> (ir +. w_i, ast +. w_a))
+      (0., 0.) rows
   in
   let overall = total_ast /. total_ir in
-  let overall_batch = total_bs /. total_bb in
   Buffer.add_string buf
-    (Printf.sprintf
-       "  ],\n  \"ir_speedup_overall\": %.2f,\n  \
-        \"batch_speedup_overall\": %.2f\n}\n"
-       overall overall_batch);
+    (Printf.sprintf "  ],\n  \"ir_speedup_overall\": %.2f\n}\n" overall);
   let oc = open_out "BENCH_ssa.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
   let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, _, id, _, _, _, _) -> id) rows
+    List.for_all (fun (_, _, _, _, _, _, _, _, id) -> id) rows
   in
   Printf.printf
     "\noverall IR speedup over the AST evaluator (sum of best walls): \
-     %.2fx\noverall batched speedup over scalar IR (8 lanes, sum of \
-     best walls): %.2fx\nwrote BENCH_ssa.json; traces byte-identical \
-     across sparse/full, IR/AST and batched/scalar on all circuits: \
-     %s\n"
-    overall overall_batch
+     %.2fx\nwrote BENCH_ssa.json; traces byte-identical across \
+     sparse/full and IR/AST on all circuits: %s\n"
+    overall
     (if all_identical then "yes" else "NO!");
   if not all_identical then exit 1
 

@@ -142,7 +142,6 @@ let algorithm_opt =
     Arg.enum
       [
         ("direct", Glc_ssa.Sim.Direct);
-        ("direct-full", Glc_ssa.Sim.Direct_full_recompute);
         ("next-reaction", Glc_ssa.Sim.Next_reaction);
         ("tau-leap", Glc_ssa.Sim.Tau_leaping { epsilon = 0.03 });
       ]
@@ -150,9 +149,8 @@ let algorithm_opt =
   Arg.value
     (Arg.opt conv Glc_ssa.Sim.Direct
        (Arg.info [ "algorithm"; "a" ] ~docv:"ALGO"
-          ~doc:"SSA variant: $(b,direct), $(b,direct-full) (the direct \
-                method without sparse propensity updates, kept as a \
-                reference), $(b,next-reaction) or $(b,tau-leap)."))
+          ~doc:"SSA variant: $(b,direct), $(b,next-reaction) or \
+                $(b,tau-leap)."))
 
 let gray_opt =
   Arg.value
@@ -161,34 +159,8 @@ let gray_opt =
           ~doc:"Sequence the input combinations in Gray-code order (one \
                 input changes per step) instead of counting order."))
 
-let eval_opt =
-  let conv =
-    Arg.enum
-      [
-        ("ir", Glc_ssa.Compiled.Ir);
-        ("ir-batch", Glc_ssa.Compiled.Ir_batch);
-        ("ast", Glc_ssa.Compiled.Ast);
-      ]
-  in
-  Arg.value
-    (Arg.opt conv Glc_ssa.Compiled.Ir
-       (Arg.info [ "eval" ] ~docv:"EVAL"
-          ~doc:"Kinetic-law evaluator: $(b,ir) (flat compiled \
-                instruction arrays, the default), $(b,ir-batch) (the \
-                same IR, with ensemble replicates advanced in lockstep \
-                lane-blocks over structure-of-arrays register files) or \
-                $(b,ast) (the reference tree-walking evaluator). All \
-                three produce byte-identical traces for a fixed seed; \
-                $(b,ast) exists as the differential-testing reference \
-                and $(b,ir-batch) trades nothing but memory for \
-                ensemble throughput."))
-
 let protocol_term =
-  let make threshold total hold seed algorithm gray eval =
-    (* the evaluator is process-wide configuration: set it here, before
-       any command simulates or spawns worker domains, so every
-       Compiled.compile in the process inherits it *)
-    Glc_ssa.Compiled.set_default_path eval;
+  let make threshold total hold seed algorithm gray =
     Protocol.make ~total_time:total ~hold_time:hold ~threshold ~seed
       ~algorithm
       ~order:(if gray then Protocol.Gray else Protocol.Counting)
@@ -196,7 +168,7 @@ let protocol_term =
   in
   Term.(
     const make $ threshold_opt $ total_opt $ hold_opt $ seed_opt
-    $ algorithm_opt $ gray_opt $ eval_opt)
+    $ algorithm_opt $ gray_opt)
 
 (* ---- observability (--metrics) ---- *)
 
@@ -1151,11 +1123,7 @@ module Campaign = struct
 
   let run_cmd =
     let run dir circuits thresholds fovs input_highs replicates seed total
-        hold jobs limit no_lint eval metrics_file =
-      (* campaigns are certified-first at the default margin; the
-         evaluator only matters for the rows the certificate leaves
-         undecided (ir-batch pays off on large ensembles) *)
-      Glc_ssa.Compiled.set_default_path eval;
+        hold jobs limit no_lint metrics_file =
       match
         let grid =
           Grid.make ~thresholds ~fov_uds:fovs
@@ -1245,12 +1213,10 @@ module Campaign = struct
         term_result
           (const run $ dir_opt $ circuits_opt $ thresholds_opt $ fovs_opt
           $ input_highs_opt $ replicates_opt $ seed_opt $ total_opt
-          $ hold_opt $ jobs_opt $ limit_opt $ no_lint_opt $ eval_opt
-          $ metrics_opt))
+          $ hold_opt $ jobs_opt $ limit_opt $ no_lint_opt $ metrics_opt))
 
   let resume_cmd =
-    let run dir jobs limit eval metrics_file =
-      Glc_ssa.Compiled.set_default_path eval;
+    let run dir jobs limit metrics_file =
       drain ~jobs ~limit ~metrics_file ~dir
     in
     Cmd.v
@@ -1261,8 +1227,7 @@ module Campaign = struct
                final report is byte-identical to an uninterrupted run.")
       Term.(
         term_result
-          (const run $ dir_opt $ jobs_opt $ limit_opt $ eval_opt
-          $ metrics_opt))
+          (const run $ dir_opt $ jobs_opt $ limit_opt $ metrics_opt))
 
   let status_cmd =
     let run dir =
@@ -1438,8 +1403,7 @@ module Space = struct
 
   let run_cmd =
     let run dir inputs sample seed replicates threshold total hold
-        certified_only jobs limit eval metrics_file =
-      Glc_ssa.Compiled.set_default_path eval;
+        certified_only jobs limit metrics_file =
       match
         Atlas.plan
           (config inputs sample seed replicates threshold total hold)
@@ -1481,7 +1445,7 @@ module Space = struct
           (const run $ dir_opt $ inputs_opt $ sample_opt $ seed_opt
           $ replicates_opt $ threshold_opt $ total_opt $ hold_opt
           $ certified_only_opt $ Campaign.jobs_opt $ Campaign.limit_opt
-          $ eval_opt $ metrics_opt))
+          $ metrics_opt))
 
   let status_cmd =
     let run dir =

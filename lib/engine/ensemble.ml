@@ -140,15 +140,6 @@ let () =
     | Interrupted -> Some "interrupted"
     | _ -> None)
 
-(* Lanes per batched block. A constant, never derived from the worker
-   count: the ssa.ir.batch_* counters are a function of how replicates
-   group into blocks, and the deterministic section of the metrics
-   export must stay a pure function of (circuit, config) whatever
-   machine runs it. Eight lanes keep a block's register rows within an
-   L1 line budget while amortising instruction decode well past the
-   knee measured in BENCH_ssa.json. *)
-let lane_width = 8
-
 let run ?pool ?(progress = Progress.null) ?cache
     ?(metrics = Glc_obs.Metrics.noop) ?(should_stop = fun () -> false)
     (cfg : config) (circuit : Circuit.t) =
@@ -213,85 +204,23 @@ let run ?pool ?(progress = Progress.null) ?cache
           (Progress.Replicate_failed (i, Printexc.to_string e));
         raise e
   in
-  (* One batched block: the whole lane-block of replicates advances in
-     lockstep through Sim.run_batch_rngs, then each retired lane is
-     analysed and verified on its own. Per-lane RNG streams come from
-     the same counter-derived seeds as the scalar path, and batched
-     traces are byte-identical to scalar ones for a fixed seed, so the
-     aggregate — and the deterministic metrics — cannot tell the two
-     schedules apart. *)
-  let task_block start block_rngs =
-    (* polled once per block: the batched analogue of the per-replicate
-       poll; a signalled run fails the whole not-yet-started block *)
-    if should_stop () then raise Interrupted;
-    let sims =
-      Sim.run_batch_rngs ~events ~metrics ~rngs:block_rngs sim_cfg compiled
-    in
-    Array.mapi
-      (fun k outcome ->
-        let i = start + k in
-        match
-          match outcome with
-          | Ok (trace, _stats) -> analyze i trace
-          | Error e -> raise e
-        with
-        | rep ->
-            Metrics.Counter.incr obs_ok;
-            Progress.report progress (Progress.Replicate_ok i);
-            Ok rep
-        | exception e ->
-            Metrics.Counter.incr obs_failed;
-            Progress.report progress
-              (Progress.Replicate_failed (i, Printexc.to_string e));
-            Error { fail_index = i; fail_error = Printexc.to_string e })
-      sims
-  in
-  let in_pool f =
+  let outcomes =
     match pool with
-    | Some p -> f p
+    | Some p -> Pool.map p task rngs
     | None ->
         let jobs = if cfg.jobs = 0 then Pool.default_jobs () else cfg.jobs in
-        Pool.with_pool ~jobs ~metrics f
+        Pool.with_pool ~jobs ~metrics (fun p -> Pool.map p task rngs)
   in
   let replicates, failures =
-    if compiled.Compiled.c_path = Compiled.Ir_batch then
-      let outcomes =
-        in_pool (fun p -> Pool.map_blocks p ~width:lane_width task_block rngs)
-      in
-      Array.fold_right
-        (fun outcome acc ->
-          match outcome with
-          | Ok lanes ->
-              Array.fold_right
-                (fun lane (reps, fails) ->
-                  match lane with
-                  | Ok rep -> (rep :: reps, fails)
-                  | Error f -> (reps, f :: fails))
-                lanes acc
-          | Error (e : Pool.error) ->
-              (* the block died before its lanes could retire (e.g. an
-                 interrupt): one failure per lane it carried *)
-              let reps, fails = acc in
-              let len = min lane_width (cfg.replicates - e.Pool.task) in
-              ( reps,
-                List.init len (fun k ->
-                    {
-                      fail_index = e.Pool.task + k;
-                      fail_error = e.Pool.message;
-                    })
-                @ fails ))
-        outcomes ([], [])
-    else
-      let outcomes = in_pool (fun p -> Pool.map p task rngs) in
-      Array.fold_right
-        (fun outcome (reps, fails) ->
-          match outcome with
-          | Ok rep -> (rep :: reps, fails)
-          | Error (e : Pool.error) ->
-              ( reps,
-                { fail_index = e.Pool.task; fail_error = e.Pool.message }
-                :: fails ))
-        outcomes ([], [])
+    Array.fold_right
+      (fun outcome (reps, fails) ->
+        match outcome with
+        | Ok rep -> (rep :: reps, fails)
+        | Error (e : Pool.error) ->
+            ( reps,
+              { fail_index = e.Pool.task; fail_error = e.Pool.message }
+              :: fails ))
+      outcomes ([], [])
   in
   let t =
     aggregate ~name:circuit.Circuit.name ~seed:cfg.seed

@@ -99,16 +99,6 @@ exception Interrupted
     never escapes {!run}; it surfaces as that replicate's [failure]
     with the error text ["interrupted"]. *)
 
-val lane_width : int
-(** Replicates per batched lane-block (8). On the
-    {!Glc_ssa.Compiled.Ir_batch} path, {!run} hands each worker a block
-    of this many consecutive replicates to advance in lockstep
-    ({!Glc_ssa.Sim.run_batch_rngs}); lanes still retire independently,
-    and the last block of an ensemble may be narrower. A constant —
-    never derived from the worker count — so the deterministic
-    [ssa.ir.batch_*] counters stay a pure function of
-    (circuit, config). *)
-
 val run :
   ?pool:Pool.t -> ?progress:Progress.t -> ?cache:Cache.t ->
   ?metrics:Glc_obs.Metrics.t -> ?should_stop:(unit -> bool) ->
@@ -125,14 +115,6 @@ val run :
     overrides [config.jobs] and
     the pool survives the call; otherwise a pool of [config.jobs]
     domains is created and shut down.
-
-    When the model compiles on the {!Glc_ssa.Compiled.Ir_batch} path
-    (e.g. [glcv --eval ir-batch]), workers advance {!lane_width}-sized
-    blocks of replicates in lockstep over structure-of-arrays register
-    files instead of one trajectory at a time. Replicate seeds, traces,
-    analysis results and the aggregate are byte-identical to the scalar
-    path for a fixed seed; only throughput (and the [ssa.ir.batch_*]
-    counters) differ.
 
     A live [metrics] registry (default {!Glc_obs.Metrics.noop}) receives
     the counters [engine.ensembles], [engine.replicates_ok],

@@ -127,20 +127,6 @@ let map t f arr =
   end;
   Array.map (function Some r -> r | None -> assert false) results
 
-let map_blocks t ~width f arr =
-  if width < 1 then invalid_arg "Pool.map_blocks: width < 1";
-  let n = Array.length arr in
-  let n_blocks = (n + width - 1) / width in
-  let blocks =
-    Array.init n_blocks (fun b ->
-        let start = b * width in
-        (start, Array.sub arr start (min width (n - start))))
-  in
-  map t (fun _ (start, items) -> f start items) blocks
-  |> Array.map (function
-       | Ok _ as ok -> ok
-       | Error e -> Error { e with task = fst blocks.(e.task) })
-
 let shutdown t =
   Mutex.lock t.mutex;
   if t.stop then Mutex.unlock t.mutex

@@ -45,19 +45,6 @@ val map : t -> (int -> 'a -> 'b) -> 'a array -> ('b, error) result array
     value or [Error] capturing the exception the task raised.
     @raise Invalid_argument if the pool has been shut down. *)
 
-val map_blocks :
-  t -> width:int -> (int -> 'a array -> 'b) -> 'a array ->
-  ('b, error) result array
-(** [map_blocks pool ~width f arr] cuts [arr] into blocks of [width]
-    consecutive elements (the last may be shorter) and computes
-    [f start block] for each on the pool, where [start] is the block's
-    offset into [arr]. One result slot per block, in block order; a
-    block task that raises is captured as an {!error} whose [task]
-    field is the block's {e start index} in [arr], not the block
-    number. The batched ensemble path uses this to hand each worker a
-    lane-block of replicates.
-    @raise Invalid_argument if [width < 1] or the pool is shut down. *)
-
 val shutdown : t -> unit
 (** Drains nothing, joins all workers. Idempotent. Pending {!map} calls
     from other threads must have completed first. *)

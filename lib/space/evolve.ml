@@ -344,7 +344,21 @@ let last_generation store =
       | None -> best)
     (-1) (Store.completed store)
 
-let load_population store gen =
+(* A stored genome must fit the run's shape: [v_genes] slots, each gene
+   reading only inputs and earlier slots, an output pointer in range.
+   Anything else would index past the genome when decoded. *)
+let well_formed cfg g =
+  let in_range n x = x >= 0 && x < n in
+  Array.length g.genes = cfg.v_genes
+  && in_range (cfg.v_arity + cfg.v_genes) g.out
+  && Array.mapi
+       (fun i (op, a, b) ->
+         let slots = cfg.v_arity + i in
+         in_range 2 op && in_range slots a && in_range slots b)
+       g.genes
+     |> Array.for_all Fun.id
+
+let load_population cfg store gen =
   match Store.get store ~id:(gen_id gen) with
   | None -> Error (Printf.sprintf "missing generation document %s" (gen_id gen))
   | Some doc -> (
@@ -358,17 +372,47 @@ let load_population store gen =
                 List.filter_map
                   (fun e -> Option.bind (Json.to_str e) decode_genome)
                   encs
+                |> List.filter (well_formed cfg)
               in
-              if List.length pop = List.length encs then Ok pop
-              else Error "generation document holds malformed genomes"))
+              if List.length pop <> List.length encs then
+                Error "generation document holds malformed genomes"
+              else if List.length pop <> cfg.v_pop then
+                Error
+                  (Printf.sprintf
+                     "generation document %s holds %d genomes, expected a \
+                      population of %d"
+                     (gen_id gen) (List.length pop) cfg.v_pop)
+              else Ok pop))
+
+let validate cfg =
+  let bad what = Error (Printf.sprintf "invalid GA config: %s" what) in
+  if cfg.v_pop < 1 then
+    bad (Printf.sprintf "population size %d (must be at least 1)" cfg.v_pop)
+  else if cfg.v_elite < 0 || cfg.v_elite > cfg.v_pop then
+    bad
+      (Printf.sprintf "elite %d (must be between 0 and the population size %d)"
+         cfg.v_elite cfg.v_pop)
+  else if cfg.v_genes < 0 then
+    bad (Printf.sprintf "gene slots %d (must be non-negative)" cfg.v_genes)
+  else if cfg.v_max_gens < 0 then
+    bad
+      (Printf.sprintf "generation budget %d (must be non-negative)"
+         cfg.v_max_gens)
+  else Ok ()
 
 let run ?(metrics = Metrics.noop) ?(should_stop = fun () -> false)
     ?(on_progress = fun _ _ _ -> ()) ~dir cfg =
   let ( let* ) = Result.bind in
+  let* () = validate cfg in
   let* store, cfg =
     if Sys.file_exists (Filename.concat dir "MANIFEST.json") then
       let* store, manifest = Store.load ~dir in
       let* stored = config_of_manifest manifest in
+      let* () =
+        Result.map_error
+          (fun m -> Printf.sprintf "evolution journal %s: %s" dir m)
+          (validate stored)
+      in
       if
         stored.v_target <> cfg.v_target
         || stored.v_arity <> cfg.v_arity
@@ -433,7 +477,7 @@ let run ?(metrics = Metrics.noop) ?(should_stop = fun () -> false)
                 Metrics.Counter.add evaluations cfg.v_pop;
                 Ok (0, pop)
             | g ->
-                let* pop = load_population store g in
+                let* pop = load_population cfg store g in
                 Ok (g, pop)
           in
           loop gen pop)

@@ -99,4 +99,7 @@ val run :
     [space.ga_generations] and [space.ga_evaluations] counters.
     A second call on a finished journal returns the stored outcome
     without evolving. [Error] on a manifest that is not an evolution
-    journal or disagrees with [config] on target/arity/seed shape. *)
+    journal or disagrees with [config] on target/arity/seed shape, on a
+    config (given or stored) with [v_pop < 1], [v_elite] outside
+    [0..v_pop], [v_genes < 0] or [v_max_gens < 0], and on a stored
+    generation whose population is not [v_pop] well-formed genomes. *)

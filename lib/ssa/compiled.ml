@@ -2,15 +2,7 @@ module Model = Glc_model.Model
 module Math = Glc_model.Math
 module Metrics = Glc_obs.Metrics
 
-type path = Ast | Ir | Ir_batch
-
-(* The process-wide default, settable once from the CLI (--eval) before
-   any simulation starts. Atomic only so that reads from pool domains
-   are well-defined; this is configuration, not synchronisation. *)
-let default = Atomic.make Ir
-
-let set_default_path p = Atomic.set default p
-let default_path () = Atomic.get default
+type path = Ast | Ir
 
 type reaction = {
   c_id : string;
@@ -24,7 +16,6 @@ type reaction = {
 type ir_stats = {
   ir_instrs : int;
   ir_regs : int;
-  ir_cse_hits : int;
   ir_const_folds : int;
 }
 
@@ -166,8 +157,7 @@ let build_ast index (rate : Math.t) =
   in
   build rate
 
-let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
-  let path = match path with Some p -> p | None -> Atomic.get default in
+let compile ?(path = Ir) ?(metrics = Metrics.noop) (m : Model.t) =
   (match Model.validate m with
   | [] -> ()
   | errs ->
@@ -183,10 +173,7 @@ let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
   let index = Hashtbl.create 32 in
   Array.iteri (fun i id -> Hashtbl.replace index id i) names;
   let resolve id = Hashtbl.find_opt index id in
-  let n_instrs = ref 0
-  and n_regs = ref 0
-  and n_cse = ref 0
-  and n_folds = ref 0 in
+  let n_instrs = ref 0 and n_regs = ref 0 and n_folds = ref 0 in
   let reactions =
     Array.of_list
       (List.map
@@ -213,11 +200,10 @@ let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
            let c_propensity, c_expr, c_cost =
              match path with
              | Ast -> (build_ast index rate, None, 0)
-             | Ir | Ir_batch ->
+             | Ir ->
                  let e, st = Ir.compile ~resolve rate in
                  n_instrs := !n_instrs + st.Ir.s_instrs;
                  n_regs := max !n_regs e.Ir.e_prog.Ir.p_regs;
-                 n_cse := !n_cse + st.Ir.s_cse_hits;
                  n_folds := !n_folds + st.Ir.s_const_folds;
                  let regs_needed = e.Ir.e_prog.Ir.p_regs in
                  ( (fun state -> Ir.eval e ~regs:(scratch regs_needed) state),
@@ -249,12 +235,11 @@ let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
   let ir =
     match path with
     | Ast -> None
-    | Ir | Ir_batch ->
+    | Ir ->
         Some
           {
             ir_instrs = !n_instrs;
             ir_regs = !n_regs;
-            ir_cse_hits = !n_cse;
             ir_const_folds = !n_folds;
           }
   in
@@ -262,7 +247,6 @@ let compile ?path ?(metrics = Metrics.noop) (m : Model.t) =
     let c name = Metrics.counter metrics name in
     Metrics.Counter.add (c "ssa.ir.programs") (Array.length reactions);
     Metrics.Counter.add (c "ssa.ir.instructions_compiled") !n_instrs;
-    Metrics.Counter.add (c "ssa.ir.cse_hits") !n_cse;
     Metrics.Counter.add (c "ssa.ir.const_folds") !n_folds;
     Metrics.observe_since metrics "ssa.ir.compile_seconds" t_start
   end;
@@ -344,79 +328,3 @@ let refresh_affected t state ri a =
 let eval_cost t = t.c_eval_cost
 let affected_cost t ri = t.c_affected_cost.(ri)
 let ir_stats t = t.c_ir
-
-(* ------------------------------------------------------------------ *)
-(* Batched (structure-of-arrays) evaluation                           *)
-
-let make_regs_batch t ~width =
-  if width < 1 then invalid_arg "Compiled.make_regs_batch: width < 1";
-  Array.init t.c_regs (fun _ -> Array.make width 0.)
-
-(* Cold path: reconstruct the offending lane's state vector for the
-   diagnostic, so the batched raiser carries exactly what the scalar
-   one does. *)
-let non_finite_lane t ~states ~lane j p =
-  raise
-    (Non_finite_propensity
-       {
-         nf_model = t.c_model.Model.m_id;
-         nf_reaction = t.c_reactions.(j).c_id;
-         nf_value = p;
-         nf_state =
-           Array.to_list
-             (Array.mapi (fun i id -> (id, states.(i).(lane))) t.c_names);
-       })
-
-let refresh_reaction_batch_in t ~regs ~states ~lanes ~n j ~rows =
-  let r = t.c_reactions.(j) in
-  match r.c_expr with
-  | Some e ->
-      (* [exec_batch_unchecked]: the rows come from
-         {!make_regs_batch} and the driver's own SoA block, whose
-         widths are fixed at construction, and [lanes] holds lane ids
-         below that width by construction — per-call row validation
-         would cost more than the typical few-lane refresh. The result
-         operand is resolved once for the whole group, not per lane. *)
-      Ir.exec_batch_unchecked e.Ir.e_prog ~regs ~states ~lanes ~n;
-      (match e.Ir.e_result with
-      | Ir.Reg d ->
-          let row = regs.(d) in
-          for k = 0 to n - 1 do
-            let l = lanes.(k) in
-            let p = row.(l) in
-            rows.(l).(j) <-
-              (if Float.is_finite p then if p > 0. then p else 0.
-               else non_finite_lane t ~states ~lane:l j p)
-          done
-      | Ir.Pool i ->
-          if n > 0 then begin
-            let p = e.Ir.e_prog.Ir.p_pool.(i) in
-            let p' =
-              if Float.is_finite p then if p > 0. then p else 0.
-              else non_finite_lane t ~states ~lane:lanes.(0) j p
-            in
-            for k = 0 to n - 1 do
-              rows.(lanes.(k)).(j) <- p'
-            done
-          end
-      | Ir.State s ->
-          let row = states.(s) in
-          for k = 0 to n - 1 do
-            let l = lanes.(k) in
-            let p = row.(l) in
-            rows.(l).(j) <-
-              (if Float.is_finite p then if p > 0. then p else 0.
-               else non_finite_lane t ~states ~lane:l j p)
-          done)
-  | None ->
-      (* AST fallback: gather each lane's column into a scratch state
-         vector and go through the scalar closure. Slow, but keeps the
-         batched entry point total over every compile path. *)
-      let tmp = Array.make (Array.length t.c_names) 0. in
-      for k = 0 to n - 1 do
-        let l = lanes.(k) in
-        for s = 0 to Array.length tmp - 1 do
-          tmp.(s) <- states.(s).(l)
-        done;
-        rows.(l).(j) <- clamp_checked t j (r.c_propensity tmp) tmp
-      done

@@ -6,32 +6,19 @@
 
     Two evaluation paths exist. {!Ir} (the default) compiles each law
     once into a flat instruction array over a register file (constant
-    folding, common-subexpression elimination, tight dispatch loop — see
+    folding, fused Hill superinstructions, tight dispatch loop — see
     {!module:Ir}); {!Ast} keeps the original tree-of-closures evaluator
     as the reference semantics. Both produce bit-identical propensities
     on every state — the QCheck differential property in [test_ssa]
-    holds traces byte-identical between paths — so the choice is purely
-    a performance one, surfaced as [glcv --eval ast|ir]. *)
+    holds traces byte-identical between paths — so {!Ast} exists only
+    for differential tests and the [bench ssa] comparison. *)
 
 module Model := Glc_model.Model
 
 (** How kinetic laws are evaluated. *)
 type path =
   | Ast  (** reference: a tree of closures mirroring the math AST *)
-  | Ir  (** default: flat register IR, folded and CSE'd (see {!module:Ir}) *)
-  | Ir_batch
-      (** the same flat IR, but the ensemble engine advances a block of
-          replicate lanes in lockstep over structure-of-arrays register
-          files ({!make_regs_batch}, {!refresh_reaction_batch_in}) —
-          bit-identical to {!Ir} lane by lane, chosen purely for
-          throughput *)
-
-val set_default_path : path -> unit
-(** Set the path {!compile} uses when none is passed explicitly. Intended
-    to be called once at CLI startup ([--eval]), before simulations or
-    worker domains start. *)
-
-val default_path : unit -> path
+  | Ir  (** default: flat register IR, constant-folded (see {!module:Ir}) *)
 
 type reaction = {
   c_id : string;
@@ -59,7 +46,6 @@ type reaction = {
 type ir_stats = {
   ir_instrs : int;  (** instructions across all reaction programs *)
   ir_regs : int;  (** largest register file any program needs *)
-  ir_cse_hits : int;
   ir_const_folds : int;
 }
 
@@ -107,11 +93,10 @@ exception
     the model id, reaction id and offending state. *)
 
 val compile : ?path:path -> ?metrics:Glc_obs.Metrics.t -> Model.t -> t
-(** [path] defaults to {!default_path} (initially {!Ir}). With a live
-    [metrics] registry and the IR path, records the [ssa.ir.programs],
-    [ssa.ir.instructions_compiled], [ssa.ir.cse_hits] and
-    [ssa.ir.const_folds] counters and the [ssa.ir.compile_seconds]
-    histogram.
+(** [path] defaults to {!Ir}. With a live [metrics] registry and the
+    IR path, records the [ssa.ir.programs],
+    [ssa.ir.instructions_compiled] and [ssa.ir.const_folds] counters
+    and the [ssa.ir.compile_seconds] histogram.
     @raise Invalid_argument if the model fails {!Model.validate}. *)
 
 val species_index : t -> string -> int
@@ -188,33 +173,3 @@ val affected_cost : t -> int -> int
 
 val ir_stats : t -> ir_stats option
 (** Compile-time IR statistics ([None] on the {!Ast} path). *)
-
-val make_regs_batch : t -> width:int -> float array array
-(** [make_regs_batch t ~width] is a structure-of-arrays register file
-    for batched evaluation: one row per register slot, [width] lanes
-    per row ([regs.(slot).(lane)]). A batched simulator allocates one
-    per lane block and reuses it for the whole block's lifetime.
-    @raise Invalid_argument if [width < 1]. *)
-
-val refresh_reaction_batch_in :
-  t ->
-  regs:float array array ->
-  states:float array array ->
-  lanes:int array ->
-  n:int ->
-  int ->
-  rows:float array array ->
-  unit
-(** [refresh_reaction_batch_in t ~regs ~states ~lanes ~n j ~rows]
-    re-evaluates reaction [j]'s propensity for the first [n] lanes
-    listed in [lanes] at once — one instruction decode shared by all
-    lanes ({!Ir.exec_batch}) — writing each lane's clamped value into
-    [rows.(lane).(j)]. [states.(species).(lane)] is the
-    structure-of-arrays state; [rows.(lane)] is that lane's ordinary
-    propensity cache, so retired lanes keep their scalar layout. Values
-    are clamped and checked exactly as {!propensity}; on the {!Ast}
-    path each lane's column is gathered and evaluated through the
-    scalar closure, so the entry point is total over every compile
-    path.
-    @raise Non_finite_propensity on NaN or infinity, attributed to the
-    offending lane's state. *)

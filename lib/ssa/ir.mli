@@ -23,21 +23,15 @@
     exact IEEE operation sequence of the subtree it replaces, so fusion
     removes dispatch without perturbing a single bit.
 
-    Beyond instruction selection, the compiler performs two
-    semantics-preserving rewrites only:
+    Beyond instruction selection, the compiler performs one
+    semantics-preserving rewrite only: {b constant folding} of
+    operations whose operands are all constants, computed with exactly
+    the IEEE operation the evaluator would use at run time (no
+    algebraic identities — [0 * x] is not folded, NaN and signed zeros
+    are preserved bit for bit).
 
-    - {b constant folding} of operations whose operands are all
-      constants, computed with exactly the IEEE operation the evaluator
-      would use at run time (no algebraic identities — [0 * x] is not
-      folded, NaN and signed zeros are preserved bit for bit);
-    - {b common-subexpression elimination} by value numbering:
-      structurally identical subterms (constants compared by bit
-      pattern) evaluate once and share a register.  Value numbering is
-      scoped to one {!builder}, so sharing extends across every law
-      compiled into the same program.
-
-    Both rewrites reuse or precompute the very float the AST evaluator
-    would produce, so IR evaluation is bit-identical to
+    Folding precomputes the very float the AST evaluator would
+    produce, so IR evaluation is bit-identical to
     {!Glc_model.Math.eval} on every input, including NaN and infinity
     propagation.  The differential QCheck property in [test_ssa]
     enforces this. *)
@@ -67,7 +61,6 @@ type expr = { e_prog : prog; e_result : operand }
 
 type stats = {
   s_instrs : int;  (** instructions emitted *)
-  s_cse_hits : int;  (** subterms that reused an existing register *)
   s_const_folds : int;  (** operations evaluated at compile time *)
 }
 
@@ -82,8 +75,9 @@ val builder : resolve:(string -> int option) -> unit -> builder
 
 val push : builder -> Glc_model.Math.t -> operand
 (** Compile one expression into the builder's program, returning the
-    operand that will hold its value.  Value numbering is shared with
-    everything previously pushed, so a repeated subterm costs nothing.
+    operand that will hold its value.  Instructions and constants are
+    appended after everything previously pushed; a repeated subterm is
+    compiled again.
     @raise Invalid_argument if the program outgrows the 14-bit operand
     encoding (16384 registers, pool slots or species — far beyond any
     real model). *)
@@ -106,49 +100,6 @@ val read : expr -> regs:float array -> float array -> float
 (** Read the result operand without re-running the program — valid
     right after an {!exec} of the same program over the same [regs]
     and [state]. *)
-
-val exec_batch :
-  prog ->
-  regs:float array array ->
-  states:float array array ->
-  lanes:int array ->
-  n:int ->
-  unit
-(** [exec_batch p ~regs ~states ~lanes ~n] runs the program across the
-    first [n] entries of [lanes] at once, over structure-of-arrays
-    storage: [regs.(slot).(lane)] is register [slot] of replicate
-    [lane], and [states.(species).(lane)] its copy number.  Each
-    instruction is decoded once and applied to every listed lane before
-    the program counter advances, amortising dispatch and keeping lane
-    state cache-contiguous; per lane the IEEE operation sequence is
-    exactly that of {!exec}, so results are bit-identical to the scalar
-    path lane by lane.
-    @raise Invalid_argument if fewer than [p.p_regs] register rows are
-    given, if [n] exceeds [lanes]'s length, or if any listed lane falls
-    outside a register or state row. *)
-
-val exec_batch_unchecked :
-  prog ->
-  regs:float array array ->
-  states:float array array ->
-  lanes:int array ->
-  n:int ->
-  unit
-(** {!exec_batch} without the per-call argument validation.  The batch
-    driver refreshes a handful of lanes per group, thousands of groups
-    per run, against rows it allocated itself — re-walking every
-    register and state row on each call costs more than the refresh.
-    Preconditions (the caller's to uphold, validated nowhere):
-    [Array.length regs >= p.p_regs], [0 <= n <= Array.length lanes],
-    and every [lanes.(k)] with [k < n] indexes inside every register
-    and state row.  Register rows are written with unchecked stores, so
-    a violated precondition corrupts memory rather than raising — use
-    {!exec_batch} unless the rows and lanes come from a block whose
-    shape is fixed at construction. *)
-
-val read_batch : expr -> regs:float array array -> states:float array array -> int -> float
-(** [read_batch e ~regs ~states lane] reads the result operand for one
-    lane — valid right after an {!exec_batch} that listed [lane]. *)
 
 val pp_prog : Format.formatter -> prog -> unit
 (** Human-readable disassembly, for tests and debugging. *)

@@ -83,35 +83,6 @@ val run_compiled_rng :
     ignored). The ensemble engine uses this to give every replicate its
     own {!Rng.split}-derived stream while sharing one compiled model. *)
 
-val run_batch_rngs :
-  ?events:Events.schedule -> ?metrics:Glc_obs.Metrics.t ->
-  rngs:Rng.t array -> config -> Compiled.t ->
-  (Trace.t * stats, exn) result array
-(** [run_batch_rngs ~rngs cfg c] simulates one replicate per generator
-    in [rngs], advancing all of them in lockstep over structure-of-
-    arrays state and register files: each round, every stale propensity
-    is re-evaluated for all lanes that need it with one shared
-    instruction decode ({!Ir.exec_batch}), then each live lane takes
-    one direct-method step. Lane [l]'s trace and stats are
-    byte-identical to [run_compiled_rng ~rng:rngs.(l)] — the lockstep
-    schedule reorders only RNG-free propensity refreshes — so the
-    batched path is a pure throughput choice. Lanes retire
-    independently at [t_end]; a lane whose kinetic law goes non-finite
-    fails alone ([Error], carrying {!Compiled.Non_finite_propensity}
-    for its own state) without disturbing its block-mates.
-
-    Batched execution engages for {!Direct} on an IR-compiled model
-    ({!Compiled.Ir} or {!Compiled.Ir_batch}); any other algorithm or
-    the {!Ast} path falls back to scalar runs lane by lane, so the
-    entry point is total. With a live [metrics] registry each finished
-    lane flushes the same per-run counters as the scalar runner, plus
-    per-block batch counters [ssa.ir.batch_evals] (lane-evaluations
-    served by shared decodes), [ssa.ir.batch_groups] (shared decodes),
-    [ssa.ir.batch_instructions] (instructions decoded once per group),
-    [ssa.ir.batch_blocks], [ssa.ir.batch_lanes] and the
-    [ssa.ir.batch_block_seconds] histogram. No per-lane
-    [ssa.run_seconds.*] is recorded — lanes share one wall clock. *)
-
 (**/**)
 
 val select : float array -> float -> int

@@ -131,38 +131,6 @@ let test_pool_lifecycle () =
     (Invalid_argument "Pool.create: jobs < 1") (fun () ->
       ignore (Pool.create ~jobs:0 ()))
 
-let test_pool_map_blocks () =
-  Pool.with_pool ~jobs:2 (fun p ->
-      (* 13 items in width-4 blocks: starts 0,4,8,12; last block short *)
-      let arr = Array.init 13 (fun i -> i) in
-      let blocks =
-        Pool.map_blocks p ~width:4
-          (fun start items -> (start, Array.length items, Array.to_list items))
-          arr
-      in
-      checki "block count" 4 (Array.length blocks);
-      Array.iteri
-        (fun b outcome ->
-          match outcome with
-          | Ok (start, len, items) ->
-              checki "start" (4 * b) start;
-              checki "length" (if b = 3 then 1 else 4) len;
-              checkb "contents" true
-                (items = List.init len (fun k -> start + k))
-          | Error _ -> Alcotest.fail "block failed")
-        blocks;
-      (* a raising block reports the block's start index, not its number *)
-      (match
-         Pool.map_blocks p ~width:4
-           (fun start _ -> if start = 8 then failwith "boom" else start)
-           arr
-       with
-      | [| Ok 0; Ok 4; Error e; Ok 12 |] -> checki "error task" 8 e.Pool.task
-      | _ -> Alcotest.fail "unexpected block outcomes");
-      Alcotest.check_raises "width < 1"
-        (Invalid_argument "Pool.map_blocks: width < 1") (fun () ->
-          ignore (Pool.map_blocks p ~width:0 (fun s _ -> s) arr)))
-
 (* ---- stats ---- *)
 
 let test_stats_summary () =
@@ -450,32 +418,6 @@ let test_ensemble_single_replicate () =
   ignore (Ensemble.to_json t);
   ignore (Format.asprintf "%a" Ensemble.pp t)
 
-let with_default_path path f =
-  let saved = Glc_ssa.Compiled.default_path () in
-  Glc_ssa.Compiled.set_default_path path;
-  Fun.protect ~finally:(fun () -> Glc_ssa.Compiled.set_default_path saved) f
-
-let test_ensemble_batched_matches_scalar () =
-  (* the tentpole's acceptance check, end to end: an ensemble run on the
-     batched path renders to the very bytes of the scalar run. 13
-     replicates = one full 8-lane block plus a 5-lane one, so lane
-     retirement inside a block and a short trailing block are both
-     crossed, and jobs=2 splits the blocks across workers. *)
-  let circuit = Circuits.genetic_not () in
-  let cfg = not_config ~replicates:13 ~jobs:2 () in
-  let scalar =
-    with_default_path Glc_ssa.Compiled.Ir (fun () ->
-        Ensemble.to_json (Ensemble.run cfg circuit))
-  in
-  let batched =
-    with_default_path Glc_ssa.Compiled.Ir_batch (fun () ->
-        Ensemble.run cfg circuit)
-  in
-  checki "all lanes retired" 13 (Array.length batched.Ensemble.replicates);
-  checki "no failures" 0 (Array.length batched.Ensemble.failures);
-  checks "batched report byte-identical to scalar" scalar
-    (Ensemble.to_json batched)
-
 let test_ensemble_flaky_report () =
   (* hand-built disagreement: 2 of 3 replicates say minterm, one says
      not -> consensus keeps it, the row is reported flaky *)
@@ -578,7 +520,6 @@ let () =
           Alcotest.test_case "map" `Quick test_pool_map;
           Alcotest.test_case "exception capture" `Quick test_pool_capture;
           Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
-          Alcotest.test_case "map_blocks" `Quick test_pool_map_blocks;
         ] );
       ( "stats",
         [
@@ -611,8 +552,6 @@ let () =
             test_ensemble_degradation;
           Alcotest.test_case "single replicate" `Quick
             test_ensemble_single_replicate;
-          Alcotest.test_case "batched lane-blocks match scalar" `Slow
-            test_ensemble_batched_matches_scalar;
           Alcotest.test_case "all replicates failed" `Quick
             test_ensemble_empty_aggregate;
           Alcotest.test_case "flaky minterm report" `Quick

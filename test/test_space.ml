@@ -385,6 +385,129 @@ let test_ga_config_mismatch () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "expected a config-mismatch error")
 
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
+(* offset of the first occurrence of [sub] in [s] *)
+let find_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then raise Not_found
+    else if String.sub s i n = sub then i
+    else go (i + 1)
+  in
+  go 0
+
+let expect_error what = function
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: expected an Error" what
+
+let glcv_exe = Filename.concat (Sys.getcwd ()) "../bin/glcv.exe"
+
+(* Runs the CLI with stdout discarded; returns the exit code and the
+   captured stderr. *)
+let run_glcv args =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let err_path = Filename.concat dir "stderr" in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let err =
+        Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
+      in
+      let pid =
+        Unix.create_process glcv_exe
+          (Array.of_list (glcv_exe :: args))
+          devnull devnull err
+      in
+      Unix.close devnull;
+      Unix.close err;
+      let code =
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED code -> code
+        | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+      in
+      (code, read_file err_path))
+
+let test_ga_bad_config () =
+  (* every bad shape is a typed error before anything is persisted *)
+  List.iter
+    (fun (what, cfg) ->
+      with_dir (fun dir ->
+          expect_error what (Evolve.run ~dir cfg);
+          checkb (what ^ ": nothing persisted") false (Sys.file_exists dir)))
+    [
+      ("pop 0", { ga_config with Evolve.v_pop = 0 });
+      ("pop -3", { ga_config with Evolve.v_pop = -3 });
+      ("elite -1", { ga_config with Evolve.v_elite = -1 });
+      ("elite > pop", { ga_config with Evolve.v_elite = 17 });
+      ("genes -1", { ga_config with Evolve.v_genes = -1 });
+      ("gens -1", { ga_config with Evolve.v_max_gens = -1 });
+    ];
+  (* the same cases through the CLI flags: a one-line diagnostic and
+     the CLI-error exit code, not an uncaught exception (125) *)
+  List.iter
+    (fun flag ->
+      with_dir (fun dir ->
+          let code, err =
+            run_glcv [ "space"; "evolve"; "0x80"; flag; "--dir"; dir ]
+          in
+          checki (flag ^ ": exit code") 123 code;
+          checkb (flag ^ ": one-line diagnostic") true
+            (String.length err > 0
+            && String.index_opt err '\n' = Some (String.length err - 1))))
+    [ "--pop=0"; "--pop=-3"; "--elite=-1" ]
+
+let test_ga_tampered_journal () =
+  (* a journal interrupted after generation 0, then edited on disk *)
+  let interrupted dir =
+    match Evolve.run ~should_stop:(fun () -> true) ~dir ga_config with
+    | Ok (Evolve.Interrupted 1) -> Result.get_ok (Store.load ~dir) |> fst
+    | _ -> Alcotest.fail "expected an interrupt after generation 0"
+  in
+  let tamper what edit =
+    with_dir (fun dir ->
+        let store = interrupted dir in
+        let path = Store.result_path store ~id:"gen-000000" in
+        write_file path (edit (read_file path));
+        expect_error what (Evolve.run ~dir ga_config))
+  in
+  let replace_population pop doc =
+    let i = find_sub doc "\"population\":[" in
+    String.sub doc 0 i ^ "\"population\":" ^ pop ^ "}"
+  in
+  (* a genome of the run's shape (16 genes reading input 0) with the
+     given output pointer, as a JSON string *)
+  let genome out =
+    Printf.sprintf "\"%s|%d\""
+      (String.concat "," (List.init 16 (fun _ -> "0:0:0")))
+      out
+  in
+  let population n out =
+    "[" ^ String.concat "," (List.init n (fun _ -> genome out)) ^ "]"
+  in
+  tamper "empty population" (replace_population "[]");
+  tamper "short population" (replace_population (population 1 0));
+  tamper "output pointer out of range"
+    (replace_population (population 16 99));
+  (* a manifest edited to an invalid population size *)
+  with_dir (fun dir ->
+      ignore (interrupted dir);
+      let path = Filename.concat dir "MANIFEST.json" in
+      let m = read_file path in
+      let i = find_sub m "\"pop\":16" in
+      write_file path
+        (String.sub m 0 i ^ "\"pop\":0"
+        ^ String.sub m (i + 8) (String.length m - i - 8));
+      expect_error "manifest pop 0" (Evolve.run ~dir ga_config))
+
 let qc = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -426,5 +549,9 @@ let () =
             test_ga_reaches_easy_target;
           Alcotest.test_case "config mismatch" `Quick
             test_ga_config_mismatch;
+          Alcotest.test_case "bad config is a typed error" `Quick
+            test_ga_bad_config;
+          Alcotest.test_case "tampered journal is a typed error" `Quick
+            test_ga_tampered_journal;
         ] );
     ]

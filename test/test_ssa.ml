@@ -1070,35 +1070,6 @@ let prop_nonnegative_populations =
           Sim.Tau_leaping { epsilon = 0.05 };
         ])
 
-let prop_batch_scalar_equivalence =
-  (* The batched driver's contract: lane [l] of a lockstep block is
-     byte-identical — trace and stats — to a scalar run on the same
-     generator. Lane counts sweep 1..8 so single-lane blocks and full
-     blocks are both exercised. *)
-  QCheck.Test.make
-    ~name:"batched lane-blocks are byte-identical to scalar runs"
-    ~count:60 QCheck.small_int (fun seed ->
-      let m = random_mass_action_model seed in
-      let c = Compiled.compile ~path:Compiled.Ir_batch m in
-      let cfg = Sim.config ~seed:(seed + 7) ~t_end:30. () in
-      let w = 1 + (seed mod 8) in
-      let rngs = Array.init w (fun i -> Rng.create ((1000 * seed) + i)) in
-      let scalar =
-        Array.map
-          (fun rng ->
-            let tr, st = Sim.run_compiled_rng ~rng:(Rng.copy rng) cfg c in
-            (Trace.to_csv tr, st))
-          rngs
-      in
-      let batched =
-        Array.map
-          (function
-            | Ok (tr, st) -> (Trace.to_csv tr, st)
-            | Error e -> raise e)
-          (Sim.run_batch_rngs ~rngs cfg c)
-      in
-      scalar = batched)
-
 let test_sparse_equivalence_circuits () =
   (* Same check on the paper's Table-1 circuits under the virtual lab's
      input stimulus, shortened to keep the suite fast. *)
@@ -1126,31 +1097,7 @@ let test_sparse_equivalence_circuits () =
       Alcotest.(check string)
         (circuit.Glc_gates.Circuit.name ^ ": AST path byte-identical")
         reference
-        (run ~path:Compiled.Ast Sim.Direct);
-      (* and so is the batched lockstep driver, lane by lane, with the
-         virtual lab's input events in play *)
-      let c_batch = Compiled.compile ~path:Compiled.Ir_batch model in
-      let cfg = Sim.config ~seed:42 ~t_end:400. () in
-      let rngs = Array.init 4 (fun i -> Glc_ssa.Rng.create ((i * 7) + 1)) in
-      let scalar =
-        Array.map
-          (fun rng ->
-            Trace.to_csv
-              (fst
-                 (Sim.run_compiled_rng ~events ~rng:(Glc_ssa.Rng.copy rng)
-                    cfg c_batch)))
-          rngs
-      in
-      Array.iteri
-        (fun l outcome ->
-          match outcome with
-          | Ok (tr, _) ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s: batched lane %d byte-identical"
-                   circuit.Glc_gates.Circuit.name l)
-                scalar.(l) (Trace.to_csv tr)
-          | Error e -> raise e)
-        (Sim.run_batch_rngs ~events ~rngs cfg c_batch))
+        (run ~path:Compiled.Ast Sim.Direct))
     (Glc_gates.Benchmarks.all ())
 
 (* ---- flat propensity IR ---- *)
@@ -1187,13 +1134,31 @@ let test_ir_const_fold () =
   checkb "0 * nan is nan" true
     (Float.is_nan (ir_eval_of Math.(num 0. * var "x") [| Float.nan; 0.; 0. |]))
 
-let test_ir_cse () =
-  (* x*y appears twice: the second occurrence reuses the register *)
-  let xy = Math.(var "x" * var "y") in
-  let _, st = Ir.compile ~resolve:resolve_xyz Math.(xy + xy) in
-  checki "two instructions" 2 st.Ir.s_instrs;
-  checki "one cse hit" 1 st.Ir.s_cse_hits;
-  checkf 0. "value" 24. (ir_eval_of Math.(xy + xy) [| 3.; 4.; 0. |])
+let test_ir_fusion_real_models () =
+  (* Every real model's laws fuse: each reaction compiles to at most
+     one IR instruction (a Hill production law to one superinstruction,
+     a degradation law to one mass-action multiply). A silent regression
+     in superinstruction selection shows up here as a model with more
+     instructions than reactions. *)
+  let check name circuit =
+    let c = Compiled.compile (Glc_gates.Circuit.model circuit) in
+    match Compiled.ir_stats c with
+    | None -> Alcotest.failf "%s: no IR statistics" name
+    | Some st ->
+        let n = Array.length c.Compiled.c_reactions in
+        if st.Compiled.ir_instrs > n then
+          Alcotest.failf "%s: %d IR instructions for %d reactions" name
+            st.Compiled.ir_instrs n
+  in
+  List.iter
+    (fun c -> check c.Glc_gates.Circuit.name c)
+    (Glc_gates.Benchmarks.all ());
+  List.iter
+    (fun code ->
+      check
+        (Glc_space.Fn.name_of_code ~arity:3 code)
+        (Glc_space.Fn.circuit ~arity:3 code))
+    (Glc_space.Fn.all_codes ~arity:3)
 
 let test_ir_hill_superinstruction () =
   (* A gate's whole production law — built the way the SBOL importer
@@ -1494,8 +1459,8 @@ let () =
       ( "ir",
         [
           Alcotest.test_case "constant folding" `Quick test_ir_const_fold;
-          Alcotest.test_case "common subexpressions share a register"
-            `Quick test_ir_cse;
+          Alcotest.test_case "real models fuse to one instruction per reaction"
+            `Quick test_ir_fusion_real_models;
           Alcotest.test_case "Hill responses fuse to one instruction"
             `Quick test_ir_hill_superinstruction;
           Alcotest.test_case "register bounds" `Quick test_ir_register_bounds;
@@ -1544,7 +1509,6 @@ let () =
               prop_select_positive_propensity;
               prop_sparse_direct_equivalence;
               prop_nonnegative_populations;
-              prop_batch_scalar_equivalence;
             ]
       );
       ( "population",
