@@ -775,28 +775,29 @@ let campaign_bench () =
     with_store bare
     ((with_store -. bare) *. 1e3)
 
-(* ---- SSA hot path: sparse propensity engine, flat IR vs AST ---- *)
+(* ---- SSA hot path: sparse propensity engine, law-shape match vs AST ---- *)
 
 (* Every Table-1 model, direct method. Three configurations:
-   dependency-driven sparse updates on the flat-IR evaluator (the
+   dependency-driven sparse updates on the law-shape evaluator (the
    default), the same sparse engine on the AST closure evaluator (the
    reference semantics), and the full-recompute reference. All must
    produce byte-identical traces; sparse wins by doing O(deps) instead
-   of O(R) propensity evaluations per firing, and the IR wins on top by
-   constant-folding parameter arithmetic (a Hill response costs one
-   runtime pow instead of three) and dispatching flat instead of
-   chasing a closure tree. Writes the machine-readable results to
-   BENCH_ssa.json (CI uploads it as an artifact). *)
-(* Dense-coupling stress model, the arithmetic-heavy IR-vs-AST row:
+   of O(R) propensity evaluations per firing, and the shape match wins
+   on top by constant-folding parameter arithmetic (a Hill response
+   costs one runtime pow instead of three) and evaluating a whole law
+   in one match arm instead of chasing a closure tree. Writes the
+   machine-readable results to BENCH_ssa.json (CI uploads it as an
+   artifact). *)
+(* Dense-coupling stress model, the arithmetic-heavy shape-vs-AST row:
    [n] species, conversions in every ordered pair, each law reading
    BOTH endpoint counts through a saturating mass-action form
    (k * S_i * (10 + S_j) * (1 + S_i/2000) * (1 + S_j/2000)). A firing
    then invalidates every reaction touching either endpoint — an
    affected set of ~4(n-1) of the n(n-1) reactions — so propensity
-   refreshes dominate the step, and the laws compile to ~10 plain
-   arithmetic instructions instead of the single pow-dominated Hill
-   superinstruction of a Table-1 gate. Total count is conserved (pure
-   conversions), so propensities stay finite and bounded. *)
+   refreshes dominate the step, and the laws match no shape: they take
+   the closure-tree fallback over the folded law instead of the single
+   pow-dominated Hill arm of a Table-1 gate. Total count is conserved
+   (pure conversions), so propensities stay finite and bounded. *)
 let dense_coupling_model ~n =
   let module Model = Glc_model.Model in
   let module Math = Glc_model.Math in
@@ -832,8 +833,8 @@ let dense_coupling_model ~n =
 
 let bench_ssa () =
   section
-    "SSA -- sparse propensity engine, flat IR vs AST (Table-1 models + \
-     dense-coupling stress, direct method)";
+    "SSA -- sparse propensity engine, law-shape match vs AST (Table-1 \
+     models + dense-coupling stress, direct method)";
   let module Sim = Glc_ssa.Sim in
   let module Compiled = Glc_ssa.Compiled in
   let module Metrics = Glc_obs.Metrics in
@@ -843,7 +844,7 @@ let bench_ssa () =
   (* best-of-[repeats] wall time: the trajectory is deterministic for a
      fixed seed, so the minimum is the least-noise estimate. The
      configurations under comparison are interleaved within each
-     repeat — IR, AST, full back to back — so a quiet window on a noisy
+     repeat — shape, AST, full back to back — so a quiet window on a noisy
      machine benefits every configuration rather than skewing whichever
      phase happened to run during it. *)
   let measure model events specs =
@@ -883,14 +884,14 @@ let bench_ssa () =
    ignore
      (measure (Circuit.model c)
         (Experiment.input_schedule Protocol.default c)
-        [ (Sim.Direct, Compiled.Ir) ]));
+        [ (Sim.Direct, Compiled.Shape) ]));
   Printf.printf
     "seed %d, %g t.u. under the paper's input stimulus, best of %d runs; \
      'evals/step' is propensity evaluations per reaction firing\n\n" seed
     t_end repeats;
-  Printf.printf "%-14s %5s %9s %12s %12s %7s %10s %10s %8s\n" "circuit"
-    "R" "steps" "evals(spar)" "evals(full)" "ratio" "steps/s ir"
-    "steps/s ast" "ir-gain";
+  Printf.printf "%-14s %5s %9s %12s %12s %7s %13s %11s %10s\n" "circuit"
+    "R" "steps" "evals(spar)" "evals(full)" "ratio" "steps/s shape"
+    "steps/s ast" "shape-gain";
   let cases =
     List.map
       (fun circuit ->
@@ -904,30 +905,30 @@ let bench_ssa () =
     List.map
       (fun (name, model, events) ->
         let n_r = List.length model.Glc_model.Model.m_reactions in
-        let ( (tr_i, steps_i, evals_s, wall_i),
+        let ( (tr_s, steps_s, evals_s, wall_s),
               (tr_a, steps_a, _, wall_a),
               (tr_f, steps_f, evals_f, wall_f) ) =
           match
             measure model events
               [
-                (Sim.Direct, Compiled.Ir);
+                (Sim.Direct, Compiled.Shape);
                 (Sim.Direct, Compiled.Ast);
-                (Sim.Direct_full_recompute, Compiled.Ir);
+                (Sim.Direct_full_recompute, Compiled.Shape);
               ]
           with
-          | [ ir; ast; full ] -> (ir, ast, full)
+          | [ shape; ast; full ] -> (shape, ast, full)
           | _ -> assert false
         in
         let identical =
-          String.equal (Trace.to_csv tr_i) (Trace.to_csv tr_f)
-          && String.equal (Trace.to_csv tr_i) (Trace.to_csv tr_a)
+          String.equal (Trace.to_csv tr_s) (Trace.to_csv tr_f)
+          && String.equal (Trace.to_csv tr_s) (Trace.to_csv tr_a)
         in
         if not identical then
           Printf.printf
-            "!! %s: sparse/IR trace DIVERGES from the references\n"
+            "!! %s: sparse/shape trace DIVERGES from the references\n"
             name;
-        assert (steps_i = steps_f);
-        assert (steps_i = steps_a);
+        assert (steps_s = steps_f);
+        assert (steps_s = steps_a);
         let per_step evals steps =
           if steps = 0 then 0. else float_of_int evals /. float_of_int steps
         in
@@ -935,14 +936,14 @@ let bench_ssa () =
           if wall <= 0. then 0. else float_of_int steps /. wall
         in
         Printf.printf
-          "%-14s %5d %9d %12.2f %12.2f %6.1fx %10.0f %11.0f %7.2fx\n" name
-          n_r steps_i
-          (per_step evals_s steps_i)
+          "%-14s %5d %9d %12.2f %12.2f %6.1fx %13.0f %11.0f %9.2fx\n" name
+          n_r steps_s
+          (per_step evals_s steps_s)
           (per_step evals_f steps_f)
           (float_of_int evals_f /. float_of_int (max 1 evals_s))
-          (rate steps_i wall_i) (rate steps_a wall_a)
-          (wall_a /. wall_i);
-        ( name, n_r, steps_i, evals_s, wall_i, evals_f, wall_f, wall_a,
+          (rate steps_s wall_s) (rate steps_a wall_a)
+          (wall_a /. wall_s);
+        ( name, n_r, steps_s, evals_s, wall_s, evals_f, wall_f, wall_a,
           identical ))
       cases
   in
@@ -954,7 +955,7 @@ let bench_ssa () =
         \"circuits\": [\n" seed t_end repeats);
   List.iteri
     (fun i
-         (name, n_r, steps, evals_s, wall_i, evals_f, wall_f, wall_a, identical)
+         (name, n_r, steps, evals_s, wall_s, evals_f, wall_f, wall_a, identical)
        ->
       Buffer.add_string buf
         (Printf.sprintf
@@ -962,21 +963,22 @@ let bench_ssa () =
             \"sparse\": {\"propensity_evals\": %d, \"wall_s\": %.4f},\n     \
             \"full\": {\"propensity_evals\": %d, \"wall_s\": %.4f},\n     \
             \"ast\": {\"wall_s\": %.4f},\n     \
-            \"evals_ratio\": %.2f, \"ir_speedup\": %.2f, \
+            \"evals_ratio\": %.2f, \"shape_speedup\": %.2f, \
             \"byte_identical\": %b}%s\n"
-           name n_r steps evals_s wall_i evals_f wall_f wall_a
+           name n_r steps evals_s wall_s evals_f wall_f wall_a
            (float_of_int evals_f /. float_of_int (max 1 evals_s))
-           (wall_a /. wall_i) identical
+           (wall_a /. wall_s) identical
            (if i = List.length rows - 1 then "" else ",")))
     rows;
-  let total_ir, total_ast =
+  let total_shape, total_ast =
     List.fold_left
-      (fun (ir, ast) (_, _, _, _, w_i, _, _, w_a, _) -> (ir +. w_i, ast +. w_a))
+      (fun (shape, ast) (_, _, _, _, w_s, _, _, w_a, _) ->
+        (shape +. w_s, ast +. w_a))
       (0., 0.) rows
   in
-  let overall = total_ast /. total_ir in
+  let overall = total_ast /. total_shape in
   Buffer.add_string buf
-    (Printf.sprintf "  ],\n  \"ir_speedup_overall\": %.2f\n}\n" overall);
+    (Printf.sprintf "  ],\n  \"shape_speedup_overall\": %.2f\n}\n" overall);
   let oc = open_out "BENCH_ssa.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
@@ -984,9 +986,9 @@ let bench_ssa () =
     List.for_all (fun (_, _, _, _, _, _, _, _, id) -> id) rows
   in
   Printf.printf
-    "\noverall IR speedup over the AST evaluator (sum of best walls): \
+    "\noverall shape-match speedup over the AST evaluator (sum of best walls): \
      %.2fx\nwrote BENCH_ssa.json; traces byte-identical across \
-     sparse/full and IR/AST on all circuits: %s\n"
+     sparse/full and shape/AST on all circuits: %s\n"
     overall
     (if all_identical then "yes" else "NO!");
   if not all_identical then exit 1

@@ -108,21 +108,45 @@ let circuit_arg =
           ~doc:"Benchmark circuit name (see $(b,glcv list)) or a \
                 truth-table code such as 0x1C."))
 
+(* Protocol times and thresholds: anything but a positive finite number
+   (0, a negative, nan, inf) is a usage error, reported before any
+   protocol is built. The message stays short enough for cmdliner to
+   print it on one line. *)
+let parse_positive s =
+  match float_of_string_opt s with
+  | Some x when Float.is_finite x && x > 0. -> Ok x
+  | Some _ | None ->
+      Error (`Msg (Printf.sprintf "'%s' is not a positive finite number" s))
+
+let positive_float = Arg.conv (parse_positive, Arg.conv_printer Arg.float)
+
+(* A comma-separated list of them; [Arg.list] would wrap the element's
+   message in a second, line-breaking prefix. *)
+let positive_floats =
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc)
+    | s :: rest ->
+        Result.bind (parse_positive s) (fun x -> parse (x :: acc) rest)
+  in
+  Arg.conv
+    ( (fun s -> parse [] (String.split_on_char ',' s)),
+      Arg.conv_printer (Arg.list Arg.float) )
+
 let threshold_opt =
   Arg.value
-    (Arg.opt Arg.float Protocol.default.Protocol.threshold
+    (Arg.opt positive_float Protocol.default.Protocol.threshold
        (Arg.info [ "threshold"; "t" ] ~docv:"MOLECULES"
           ~doc:"Logic threshold; a logic-1 input is clamped to this \
                 amount (the paper's setup)."))
 
 let total_opt =
   Arg.value
-    (Arg.opt Arg.float Protocol.default.Protocol.total_time
+    (Arg.opt positive_float Protocol.default.Protocol.total_time
        (Arg.info [ "total" ] ~docv:"TIME" ~doc:"Total simulation time."))
 
 let hold_opt =
   Arg.value
-    (Arg.opt Arg.float Protocol.default.Protocol.hold_time
+    (Arg.opt positive_float Protocol.default.Protocol.hold_time
        (Arg.info [ "hold" ] ~docv:"TIME"
           ~doc:"Hold time per input combination (propagation delay)."))
 
@@ -989,7 +1013,7 @@ let sweep_cmd =
   let thresholds_opt =
     Arg.value
       (Arg.opt
-         (Arg.list Arg.float)
+         positive_floats
          [ 3.; 8.; 15.; 25.; 40.; 60.; 80.; 90. ]
          (Arg.info [ "thresholds" ] ~docv:"T1,T2,..."
             ~doc:"Threshold values to sweep (the Fig. 5 study)."))

@@ -35,17 +35,24 @@ let make ?(total_time = default.total_time) ?(hold_time = default.hold_time)
   let input_high =
     match input_high with Some h -> h | None -> threshold
   in
-  if total_time <= 0. then invalid_arg "Protocol.make: total_time <= 0";
-  if hold_time <= 0. then invalid_arg "Protocol.make: hold_time <= 0";
-  if threshold <= 0. then invalid_arg "Protocol.make: threshold <= 0";
-  if dt <= 0. then invalid_arg "Protocol.make: dt <= 0";
+  let positive what x =
+    if not (Float.is_finite x && x > 0.) then
+      invalid_arg
+        (Printf.sprintf "Protocol.make: %s = %g is not positive and finite"
+           what x)
+  in
+  positive "total_time" total_time;
+  positive "hold_time" hold_time;
+  positive "threshold" threshold;
+  positive "dt" dt;
   if input_low >= input_high then
     invalid_arg "Protocol.make: input_low >= input_high";
   { total_time; hold_time; threshold; input_high; input_low; dt; seed;
     algorithm; order }
 
 let with_threshold p threshold =
-  if threshold <= 0. then invalid_arg "Protocol.with_threshold: <= 0";
+  if not (Float.is_finite threshold && threshold > 0.) then
+    invalid_arg "Protocol.with_threshold: not positive and finite";
   { p with threshold; input_high = threshold }
 
 let slots p = int_of_float (Float.ceil (p.total_time /. p.hold_time))

@@ -47,12 +47,15 @@ val make :
   t
 (** {!default} with overrides. [input_high] defaults to the (possibly
     overridden) threshold.
-    @raise Invalid_argument on non-positive times or thresholds, or if
+    @raise Invalid_argument if a time, the threshold or [dt] is not
+    positive and finite (0, negative, NaN or infinite), or if
     [input_low >= input_high]. *)
 
 val with_threshold : t -> float -> t
 (** Changes the threshold {e and} the logic-1 input amount together, as
-    the paper's Fig. 5 experiment does. *)
+    the paper's Fig. 5 experiment does.
+    @raise Invalid_argument if the threshold is not positive and
+    finite. *)
 
 val slots : t -> int
 (** Number of hold slots in the run,

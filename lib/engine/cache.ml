@@ -69,7 +69,7 @@ type t = {
   table : (string, Compiled.t) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
-  metrics : Metrics.t; (* forwarded to Compiled.compile for ssa.ir.* *)
+  metrics : Metrics.t; (* forwarded to Compiled.compile for ssa.laws.* *)
   obs_hits : Metrics.Counter.t;
   obs_misses : Metrics.Counter.t;
 }

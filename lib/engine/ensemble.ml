@@ -160,7 +160,7 @@ let run ?pool ?(progress = Progress.null) ?cache
         Cache.compiled c
           ~key:(Cache.model_key ~name:circuit.Circuit.name model)
           (fun () -> model)
-    | None -> Compiled.compile (Circuit.model circuit)
+    | None -> Compiled.compile ~metrics (Circuit.model circuit)
   in
   let events = Experiment.input_schedule protocol circuit in
   let sim_cfg =

@@ -119,7 +119,10 @@ val run :
     A live [metrics] registry (default {!Glc_obs.Metrics.noop}) receives
     the counters [engine.ensembles], [engine.replicates_ok],
     [engine.replicates_failed] and [engine.seeds_derived], the per-run
-    SSA counters (see {!Glc_ssa.Sim.run}) and the wall-time histogram
+    SSA counters (see {!Glc_ssa.Sim.run}), the compile-time
+    [ssa.laws.generic] count when no [cache] is given (a cache records
+    into its own registry; see {!Glc_ssa.Compiled.compile}) and the
+    wall-time histogram
     [engine.ensemble_seconds]; it is also handed to the pool this call
     creates (when [pool] is absent — a caller-supplied pool keeps the
     registry it was created with). Counters are a pure function of

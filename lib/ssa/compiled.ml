@@ -2,21 +2,39 @@ module Model = Glc_model.Model
 module Math = Glc_model.Math
 module Metrics = Glc_obs.Metrics
 
-type path = Ast | Ir
+type path = Ast | Shape
+
+type law =
+  | Const of float
+  | Mass_action of { k : float; x : int }
+  | Repressor of {
+      y0 : float;
+      b : float;
+      ka : float;
+      kb : float;
+      n : float;
+      x : int;
+    }
+  | Activator of { y0 : float; b : float; ka : float; n : float; x : int }
+  | Repressor2 of {
+      y0 : float;
+      b : float;
+      ka1 : float;
+      kb1 : float;
+      n1 : float;
+      x1 : int;
+      ka2 : float;
+      kb2 : float;
+      n2 : float;
+      x2 : int;
+    }
+  | Generic of (float array -> float)
 
 type reaction = {
   c_id : string;
   c_deltas : (int * float) list;
-  c_propensity : float array -> float;
-  c_expr : Ir.expr option;
+  c_law : law;
   c_reads : int list;
-  c_cost : int;
-}
-
-type ir_stats = {
-  ir_instrs : int;
-  ir_regs : int;
-  ir_const_folds : int;
 }
 
 type t = {
@@ -27,11 +45,6 @@ type t = {
   c_reactions : reaction array;
   c_dependents : int list array;
   c_affected : int array array;
-  c_path : path;
-  c_regs : int;
-  c_eval_cost : int;
-  c_affected_cost : int array;
-  c_ir : ir_stats option;
 }
 
 exception
@@ -80,27 +93,9 @@ let[@inline] clamp_checked t j p state =
   if Float.is_finite p then if p > 0. then p else 0.
   else non_finite t j p state
 
-(* Per-domain scratch register file for IR evaluation, grown on demand
-   and shared by every compiled model in the domain. Compiled models
-   are shared across the pool's domains (the engine's compile cache
-   hands one [t] to all workers), so the scratch must be domain-local
-   rather than live in [t]; the hot entry points fetch it once per call
-   and evaluate every law in the batch against it, so the
-   [Domain.DLS.get] is paid per refresh, not per evaluation, and a
-   single key keeps the DLS footprint bounded. Evaluations never nest
-   within a domain — [Ir.exec] runs to completion with no callbacks —
-   so reuse is safe. *)
-let scratch_key : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let scratch n =
-  let r = Domain.DLS.get scratch_key in
-  if Array.length !r < n then r := Array.make n 0.;
-  !r
-
 (* Parameters are substituted by their constant values first, so only
-   species remain — which is also what lets the IR path constant-fold
-   parameter arithmetic like [k^n] away. *)
+   species remain — which is also what lets [fold] turn parameter
+   arithmetic like [k^n] into constants before shape matching. *)
 let substitute (m : Model.t) index (rate : Math.t) =
   let rate =
     Math.subst
@@ -157,7 +152,99 @@ let build_ast index (rate : Math.t) =
   in
   build rate
 
-let compile ?(path = Ir) ?(metrics = Metrics.noop) (m : Model.t) =
+(* Folds every closed subterm to one constant, bottom up. [Math.eval]
+   of an operation over constants performs exactly the IEEE operation
+   the evaluator would at run time — never an algebraic identity — so
+   folding changes no bit: [0 * x] survives, NaN and signed zeros
+   propagate. *)
+let rec fold (e : Math.t) : Math.t =
+  let node : Math.t =
+    match e with
+    | Const _ | Ident _ -> e
+    | Neg a -> Neg (fold a)
+    | Exp a -> Exp (fold a)
+    | Ln a -> Ln (fold a)
+    | Add (a, b) -> Add (fold a, fold b)
+    | Sub (a, b) -> Sub (fold a, fold b)
+    | Mul (a, b) -> Mul (fold a, fold b)
+    | Div (a, b) -> Div (fold a, fold b)
+    | Pow (a, b) -> Pow (fold a, fold b)
+    | Min (a, b) -> Min (fold a, fold b)
+    | Max (a, b) -> Max (fold a, fold b)
+  in
+  match node with
+  | Neg (Const _)
+  | Exp (Const _)
+  | Ln (Const _)
+  | Add (Const _, Const _)
+  | Sub (Const _, Const _)
+  | Mul (Const _, Const _)
+  | Div (Const _, Const _)
+  | Pow (Const _, Const _)
+  | Min (Const _, Const _)
+  | Max (Const _, Const _) ->
+      Const (Math.eval ~lookup:(fun _ -> assert false) node)
+  | _ -> node
+
+let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
+
+(* The law shapes every imported gate reduces to once parameters fold:
+   a Hill production law ([To_model]'s [ymin + (ymax-ymin) * product]
+   over one or two regulator factors) or a first-order degradation. The
+   activator factor reads its regulator twice, so it only matches when
+   both reads name the same species with the same exponent. Anything
+   else evaluates through the closure tree of the folded law. *)
+let shape index rate =
+  let idx x = Hashtbl.find index x in
+  match fold rate with
+  | Math.Const c -> Const c
+  | Mul (Const k, Ident x) -> Mass_action { k; x = idx x }
+  | Add
+      ( Const y0,
+        Mul (Const b, Div (Const ka, Add (Const kb, Pow (Ident x, Const n))))
+      ) ->
+      Repressor { y0; b; ka; kb; n; x = idx x }
+  | Add
+      ( Const y0,
+        Mul
+          ( Const b,
+            Div
+              ( Pow (Ident x, Const n),
+                Add (Const ka, Pow (Ident x', Const n')) ) ) )
+    when String.equal x x' && same_bits n n' ->
+      Activator { y0; b; ka; n; x = idx x }
+  | Add
+      ( Const y0,
+        Mul
+          ( Const b,
+            Mul
+              ( Div (Const ka1, Add (Const kb1, Pow (Ident x1, Const n1))),
+                Div (Const ka2, Add (Const kb2, Pow (Ident x2, Const n2))) ) ) )
+    ->
+      Repressor2
+        { y0; b; ka1; kb1; n1; x1 = idx x1; ka2; kb2; n2; x2 = idx x2 }
+  | folded -> Generic (build_ast index folded)
+
+(* Each shape arm performs the exact operation sequence [Math.eval]
+   performs on the law it matched (the activator computes [x^n] once
+   where the tree computes it twice — same bits), so the two paths
+   produce bit-identical propensities. *)
+let[@inline] eval_law law state =
+  match law with
+  | Const c -> c
+  | Mass_action { k; x } -> k *. state.(x)
+  | Repressor { y0; b; ka; kb; n; x } ->
+      y0 +. (b *. (ka /. (kb +. Float.pow state.(x) n)))
+  | Activator { y0; b; ka; n; x } ->
+      let xn = Float.pow state.(x) n in
+      y0 +. (b *. (xn /. (ka +. xn)))
+  | Repressor2 { y0; b; ka1; kb1; n1; x1; ka2; kb2; n2; x2 } ->
+      let f1 = ka1 /. (kb1 +. Float.pow state.(x1) n1) in
+      let f2 = ka2 /. (kb2 +. Float.pow state.(x2) n2) in
+      y0 +. (b *. (f1 *. f2))
+  | Generic f -> f state
+
+let compile ?(path = Shape) ?(metrics = Metrics.noop) (m : Model.t) =
   (match Model.validate m with
   | [] -> ()
   | errs ->
@@ -172,8 +259,6 @@ let compile ?(path = Ir) ?(metrics = Metrics.noop) (m : Model.t) =
   in
   let index = Hashtbl.create 32 in
   Array.iteri (fun i id -> Hashtbl.replace index id i) names;
-  let resolve id = Hashtbl.find_opt index id in
-  let n_instrs = ref 0 and n_regs = ref 0 and n_folds = ref 0 in
   let reactions =
     Array.of_list
       (List.map
@@ -197,20 +282,12 @@ let compile ?(path = Ir) ?(metrics = Metrics.noop) (m : Model.t) =
              |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
            in
            let rate, c_reads = substitute m index r.r_rate in
-           let c_propensity, c_expr, c_cost =
+           let c_law =
              match path with
-             | Ast -> (build_ast index rate, None, 0)
-             | Ir ->
-                 let e, st = Ir.compile ~resolve rate in
-                 n_instrs := !n_instrs + st.Ir.s_instrs;
-                 n_regs := max !n_regs e.Ir.e_prog.Ir.p_regs;
-                 n_folds := !n_folds + st.Ir.s_const_folds;
-                 let regs_needed = e.Ir.e_prog.Ir.p_regs in
-                 ( (fun state -> Ir.eval e ~regs:(scratch regs_needed) state),
-                   Some e,
-                   st.Ir.s_instrs )
+             | Ast -> Generic (build_ast index rate)
+             | Shape -> shape index rate
            in
-           { c_id = r.r_id; c_deltas; c_propensity; c_expr; c_reads; c_cost })
+           { c_id = r.r_id; c_deltas; c_law; c_reads })
          m.m_reactions)
   in
   let dependents = Array.make (Array.length species) [] in
@@ -226,29 +303,14 @@ let compile ?(path = Ir) ?(metrics = Metrics.noop) (m : Model.t) =
         |> List.sort_uniq Int.compare |> Array.of_list)
       reactions
   in
-  let affected_cost =
-    Array.map
-      (fun aff ->
-        Array.fold_left (fun acc j -> acc + reactions.(j).c_cost) 0 aff)
-      affected
-  in
-  let ir =
-    match path with
-    | Ast -> None
-    | Ir ->
-        Some
-          {
-            ir_instrs = !n_instrs;
-            ir_regs = !n_regs;
-            ir_const_folds = !n_folds;
-          }
-  in
-  if live && path <> Ast then begin
-    let c name = Metrics.counter metrics name in
-    Metrics.Counter.add (c "ssa.ir.programs") (Array.length reactions);
-    Metrics.Counter.add (c "ssa.ir.instructions_compiled") !n_instrs;
-    Metrics.Counter.add (c "ssa.ir.const_folds") !n_folds;
-    Metrics.observe_since metrics "ssa.ir.compile_seconds" t_start
+  if live then begin
+    let generic =
+      Array.fold_left
+        (fun n r -> match r.c_law with Generic _ -> n + 1 | _ -> n)
+        0 reactions
+    in
+    Metrics.Counter.add (Metrics.counter metrics "ssa.laws.generic") generic;
+    Metrics.observe_since metrics "ssa.compile_seconds" t_start
   end;
   {
     c_model = m;
@@ -258,11 +320,6 @@ let compile ?(path = Ir) ?(metrics = Metrics.noop) (m : Model.t) =
     c_reactions = reactions;
     c_dependents = dependents;
     c_affected = affected;
-    c_path = path;
-    c_regs = !n_regs;
-    c_eval_cost = Array.fold_left (fun acc r -> acc + r.c_cost) 0 reactions;
-    c_affected_cost = affected_cost;
-    c_ir = ir;
   }
 
 let species_index t id =
@@ -274,38 +331,22 @@ let species_index t id =
   in
   find 0
 
-(* Raw law evaluation for the hot entry points: IR programs run
-   directly against the caller-fetched scratch, skipping the
-   [c_propensity] closure (which re-fetches the DLS scratch on every
-   call and exists for external field users). *)
-let[@inline] raw_eval t regs j state =
-  let r = t.c_reactions.(j) in
-  match r.c_expr with
-  | Some e -> Ir.eval e ~regs state
-  | None -> r.c_propensity state
+let[@inline] checked t j state =
+  clamp_checked t j (eval_law t.c_reactions.(j).c_law state) state
 
-let make_regs t = Array.make t.c_regs 0.
-
-let propensity_in t ~regs state j =
-  clamp_checked t j (raw_eval t regs j state) state
-
-let propensity t state j = propensity_in t ~regs:(scratch t.c_regs) state j
-
-let propensities t state =
-  let regs = scratch t.c_regs in
-  Array.mapi
-    (fun j (_ : reaction) -> clamp_checked t j (raw_eval t regs j state) state)
-    t.c_reactions
-
-let propensities_into_in t ~regs state a =
-  if Array.length a <> Array.length t.c_reactions then
-    invalid_arg "Compiled.propensities_into: wrong buffer length";
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- clamp_checked t i (raw_eval t regs i state) state
-  done
+let propensity t state j = checked t j state
 
 let propensities_into t state a =
-  propensities_into_in t ~regs:(scratch t.c_regs) state a
+  if Array.length a <> Array.length t.c_reactions then
+    invalid_arg "Compiled.propensities_into: wrong buffer length";
+  for j = 0 to Array.length a - 1 do
+    a.(j) <- checked t j state
+  done
+
+let propensities t state =
+  let a = Array.make (Array.length t.c_reactions) 0. in
+  propensities_into t state a;
+  a
 
 let inert_reactions t =
   Array.to_list t.c_reactions
@@ -314,17 +355,10 @@ let inert_reactions t =
 
 let affected_reactions t ri = t.c_affected.(ri)
 
-let refresh_affected_in t ~regs state ri a =
+let refresh_affected t state ri a =
   let aff = t.c_affected.(ri) in
   for k = 0 to Array.length aff - 1 do
     let j = aff.(k) in
-    a.(j) <- clamp_checked t j (raw_eval t regs j state) state
+    a.(j) <- checked t j state
   done;
   Array.length aff
-
-let refresh_affected t state ri a =
-  refresh_affected_in t ~regs:(scratch t.c_regs) state ri a
-
-let eval_cost t = t.c_eval_cost
-let affected_cost t ri = t.c_affected_cost.(ri)
-let ir_stats t = t.c_ir

@@ -4,21 +4,55 @@
     kinetic laws, and each law is compiled for evaluation over the state
     vector, so the simulator's inner loop does no name resolution.
 
-    Two evaluation paths exist. {!Ir} (the default) compiles each law
-    once into a flat instruction array over a register file (constant
-    folding, fused Hill superinstructions, tight dispatch loop — see
-    {!module:Ir}); {!Ast} keeps the original tree-of-closures evaluator
-    as the reference semantics. Both produce bit-identical propensities
-    on every state — the QCheck differential property in [test_ssa]
-    holds traces byte-identical between paths — so {!Ast} exists only
-    for differential tests and the [bench ssa] comparison. *)
+    Two evaluation paths exist. {!Shape} (the default) folds each law's
+    closed subterms to constants and matches it against the few shapes
+    real gate models use — a constant, a first-order degradation, a Hill
+    production law with one repressor, one activator or two repressors —
+    each evaluated by one arm of a single match; any other law falls
+    back to a tree of closures. {!Ast} keeps that closure tree for every
+    law as the reference semantics. Both produce bit-identical
+    propensities on every state — the QCheck differential properties in
+    [test_ssa] hold traces byte-identical between paths — so {!Ast}
+    exists only for differential tests and the [bench ssa]
+    comparison. *)
 
 module Model := Glc_model.Model
 
 (** How kinetic laws are evaluated. *)
 type path =
-  | Ast  (** reference: a tree of closures mirroring the math AST *)
-  | Ir  (** default: flat register IR, constant-folded (see {!module:Ir}) *)
+  | Ast  (** reference: every law is {!Generic} *)
+  | Shape  (** default: laws matched against the shapes of {!law} *)
+
+(** A compiled kinetic law. Constants are the folded parameter values;
+    [x], [x1], [x2] are state indices of the regulating species. *)
+type law =
+  | Const of float  (** a law that folds to a constant *)
+  | Mass_action of { k : float; x : int }  (** [k * X] *)
+  | Repressor of {
+      y0 : float;
+      b : float;
+      ka : float;
+      kb : float;
+      n : float;
+      x : int;
+    }  (** [y0 + b * (ka / (kb + X^n))] *)
+  | Activator of { y0 : float; b : float; ka : float; n : float; x : int }
+      (** [y0 + b * (X^n / (ka + X^n))] *)
+  | Repressor2 of {
+      y0 : float;
+      b : float;
+      ka1 : float;
+      kb1 : float;
+      n1 : float;
+      x1 : int;
+      ka2 : float;
+      kb2 : float;
+      n2 : float;
+      x2 : int;
+    }
+      (** [y0 + b * (ka1 / (kb1 + X1^n1) * (ka2 / (kb2 + X2^n2)))] *)
+  | Generic of (float array -> float)
+      (** any other law: a tree of closures mirroring the math AST *)
 
 type reaction = {
   c_id : string;
@@ -28,25 +62,8 @@ type reaction = {
           [boundaryCondition]: they participate in the kinetics but are
           never changed by firings), so every algorithm that applies
           deltas holds them fixed for free. *)
-  c_propensity : float array -> float;
-      (** raw law evaluation — unclamped and unchecked; simulators go
-          through {!propensity}/{!propensities_into}/{!refresh_affected}
-          instead *)
-  c_expr : Ir.expr option;
-      (** the compiled IR program ([None] on the {!Ast} path); the hot
-          entry points run it directly against a per-call scratch
-          register file instead of going through the [c_propensity]
-          closure *)
+  c_law : law;
   c_reads : int list;  (** species indices the propensity depends on *)
-  c_cost : int;
-      (** IR instructions executed per evaluation; [0] on the {!Ast}
-          path *)
-}
-
-type ir_stats = {
-  ir_instrs : int;  (** instructions across all reaction programs *)
-  ir_regs : int;  (** largest register file any program needs *)
-  ir_const_folds : int;
 }
 
 type t = {
@@ -63,17 +80,6 @@ type t = {
           every reaction whose propensity reads a species [r] changes,
           sorted, duplicate-free, precomputed once at compile time so
           the simulators' firing loops allocate nothing *)
-  c_path : path;
-  c_regs : int;
-      (** largest register file any reaction's program needs — the size
-          of the scratch the hot entry points fetch once per call *)
-  c_eval_cost : int;
-      (** IR instructions per full propensity refresh (sum of
-          [c_cost]); [0] on the {!Ast} path *)
-  c_affected_cost : int array;
-      (** [c_affected_cost.(r)]: IR instructions per sparse refresh
-          after reaction [r] fires *)
-  c_ir : ir_stats option;  (** compile-time IR statistics, [Ir] path only *)
 }
 
 exception
@@ -93,30 +99,26 @@ exception
     the model id, reaction id and offending state. *)
 
 val compile : ?path:path -> ?metrics:Glc_obs.Metrics.t -> Model.t -> t
-(** [path] defaults to {!Ir}. With a live [metrics] registry and the
-    IR path, records the [ssa.ir.programs],
-    [ssa.ir.instructions_compiled] and [ssa.ir.const_folds] counters
-    and the [ssa.ir.compile_seconds] histogram.
+(** [path] defaults to {!Shape}. With a live [metrics] registry,
+    records the [ssa.laws.generic] counter (how many reactions fell
+    back to {!Generic}; recorded even when 0) and the
+    [ssa.compile_seconds] histogram.
     @raise Invalid_argument if the model fails {!Model.validate}. *)
+
+val eval_law : law -> float array -> float
+(** [eval_law law state]: the raw law value — unclamped and unchecked;
+    simulators go through {!propensity}/{!propensities_into}/
+    {!refresh_affected} instead. Bit-identical to
+    {!Glc_model.Math.eval} of the law it was compiled from. *)
 
 val species_index : t -> string -> int
 (** @raise Not_found for unknown ids. *)
-
-val make_regs : t -> float array
-(** A fresh scratch register file sized for every program in [t] —
-    what the [~regs] variants below expect. A simulator allocates one
-    per trajectory and reuses it across every evaluation of the run,
-    instead of paying a domain-local-storage fetch per refresh. *)
 
 val propensity : t -> float array -> int -> float
 (** [propensity t state j]: reaction [j]'s propensity in [state];
     finite negative values are clamped to zero (a kinetic law may dip
     below zero transiently in ill-parameterised models).
     @raise Non_finite_propensity on NaN or infinity. *)
-
-val propensity_in : t -> regs:float array -> float array -> int -> float
-(** {!propensity} evaluating against the caller's scratch from
-    {!make_regs}. *)
 
 val propensities : t -> float array -> float array
 (** All reaction propensities in the given state, clamped as
@@ -130,11 +132,6 @@ val propensities_into : t -> float array -> float array -> unit
     GCs (stop-the-world under domains) off the multicore hot path.
     @raise Invalid_argument if [a] is not one slot per reaction.
     @raise Non_finite_propensity on NaN or infinity. *)
-
-val propensities_into_in :
-  t -> regs:float array -> float array -> float array -> unit
-(** {!propensities_into} evaluating against the caller's scratch from
-    {!make_regs}. *)
 
 val inert_reactions : t -> string list
 (** Ids of reactions whose firing changes no state — every reactant and
@@ -156,20 +153,3 @@ val refresh_affected : t -> float array -> int -> float array -> int
     propensities for [state] afterwards — the sparse invariant the
     direct-method hot loop relies on.
     @raise Non_finite_propensity on NaN or infinity. *)
-
-val refresh_affected_in :
-  t -> regs:float array -> float array -> int -> float array -> int
-(** {!refresh_affected} evaluating against the caller's scratch from
-    {!make_regs} — the form the simulators' firing loops use, so the
-    domain-local-storage fetch is paid once per run, not per firing. *)
-
-val eval_cost : t -> int
-(** IR instructions executed by one full propensity refresh; [0] on the
-    {!Ast} path. O(1), precomputed. *)
-
-val affected_cost : t -> int -> int
-(** IR instructions executed by one sparse refresh after the given
-    reaction fires; [0] on the {!Ast} path. O(1), precomputed. *)
-
-val ir_stats : t -> ir_stats option
-(** Compile-time IR statistics ([None] on the {!Ast} path). *)

@@ -37,42 +37,13 @@ let rk4_step (c : Compiled.t) state h =
       state.(i) <- Float.max 0. (x +. dx))
     state
 
-let apply_events_at (c : Compiled.t) state schedule =
-  match Events.next schedule with
-  | None -> None
-  | Some (first, _) ->
-      let t = first.Events.e_time in
-      let rec go n schedule =
-        match Events.next schedule with
-        | Some (e, rest) when e.Events.e_time = t ->
-            (match Compiled.species_index c e.Events.e_species with
-            | i -> state.(i) <- Float.max 0. e.Events.e_value
-            | exception Not_found ->
-                invalid_arg
-                  (Printf.sprintf "Ode: event on unknown species %S"
-                     e.Events.e_species));
-            go (n + 1) rest
-        | Some _ | None -> (n, schedule)
-      in
-      let n, rest = go 0 schedule in
-      Some (t, n, rest)
-
 let run_compiled ?(events = Events.empty) cfg (c : Compiled.t) =
   let state = Array.copy c.Compiled.c_initial in
   let recorder =
     Trace.Recorder.create ~names:c.Compiled.c_names ~initial:state
       ~t0:cfg.t0 ~t_end:cfg.t_end ~dt:cfg.dt
   in
-  (* apply events at or before t0 *)
-  let rec catch_up events =
-    match Events.next events with
-    | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c state events with
-        | Some (_, _, rest) -> catch_up rest
-        | None -> events)
-    | Some _ | None -> events
-  in
-  let events = catch_up events in
+  let _, events = Sim.catch_up c state ~t0:cfg.t0 events in
   Trace.Recorder.observe recorder cfg.t0 state;
   let rec loop t events =
     if t < cfg.t_end then begin
@@ -85,7 +56,7 @@ let run_compiled ?(events = Events.empty) cfg (c : Compiled.t) =
         loop (t +. h) events
       end
       else if t_ev <= cfg.t_end then begin
-        match apply_events_at c state events with
+        match Sim.apply_events_at c state events with
         | Some (te, _, rest) ->
             Trace.Recorder.observe recorder te state;
             loop te rest

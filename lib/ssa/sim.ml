@@ -26,12 +26,9 @@ type stats = {
   final_state : (string * float) list;
 }
 
-(* Applies every event scheduled at the head time; returns that time, the
-   remaining schedule and the number applied. State writes go through
-   [set] so the same code serves the scalar runners (writing a flat
-   state vector) and the batched driver (writing one lane's column of
-   the structure-of-arrays state). *)
-let apply_events_at (c : Compiled.t) ~set schedule =
+(* Applies every event scheduled at the head time to [state]; returns
+   that time, the number applied and the remaining schedule. *)
+let apply_events_at (c : Compiled.t) state schedule =
   match Events.next schedule with
   | None -> None
   | Some (first, _) ->
@@ -40,16 +37,26 @@ let apply_events_at (c : Compiled.t) ~set schedule =
         match Events.next schedule with
         | Some (e, rest) when e.Events.e_time = t ->
             (match Compiled.species_index c e.e_species with
-            | i -> set i (Float.max 0. e.e_value)
+            | i -> state.(i) <- Float.max 0. e.e_value
             | exception Not_found ->
                 invalid_arg
-                  (Printf.sprintf "Sim: event on unknown species %S"
-                     e.e_species));
+                  (Printf.sprintf "event on unknown species %S" e.e_species));
             go (n + 1) rest
         | Some _ | None -> (n, schedule)
       in
       let n, rest = go 0 schedule in
       Some (t, n, rest)
+
+let catch_up c state ~t0 events =
+  let rec go n events =
+    match Events.next events with
+    | Some (e, _) when e.Events.e_time <= t0 -> (
+        match apply_events_at c state events with
+        | Some (_, m, rest) -> go (n + m) rest
+        | None -> (n, events))
+    | Some _ | None -> (n, events)
+  in
+  go 0 events
 
 let fire (c : Compiled.t) state mu =
   List.iter
@@ -87,13 +94,12 @@ let select a target =
    run — the inner loops never touch an atomic or a clock. *)
 type tot = {
   mutable n_evals : int; (* propensity evaluations *)
-  mutable n_instrs : int; (* IR instructions those evaluations executed *)
   mutable n_heap : int; (* indexed-heap updates (next-reaction) *)
   mutable n_obs : int; (* recorder observations *)
   mutable n_rej : int; (* tau-leap steps rejected (negative overshoot) *)
 }
 
-let make_tot () = { n_evals = 0; n_instrs = 0; n_heap = 0; n_obs = 0; n_rej = 0 }
+let make_tot () = { n_evals = 0; n_heap = 0; n_obs = 0; n_rej = 0 }
 
 (* The direct method in two propensity regimes sharing one loop. Sparse
    (the default): the cached array [a] is kept authoritative — after a
@@ -106,21 +112,17 @@ let make_tot () = { n_evals = 0; n_instrs = 0; n_heap = 0; n_obs = 0; n_rej = 0 
    O(R) to O(deps) per firing. Full recompute (the reference, kept for
    equivalence tests and the bench harness) re-evaluates every
    propensity at the top of every step. *)
-let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
-  let state = Array.copy c.c_initial in
-  let set i v = state.(i) <- v in
+let run_direct ~sparse rng (c : Compiled.t) cfg state events recorder tot =
   let fired = ref 0 and applied = ref 0 in
   let n_r = Array.length c.c_reactions in
   let a = Array.make n_r 0. in
-  let regs = Compiled.make_regs c in
   let observe t =
     tot.n_obs <- tot.n_obs + 1;
     Trace.Recorder.observe recorder t state
   in
   let refresh_all () =
-    Compiled.propensities_into_in c ~regs state a;
-    tot.n_evals <- tot.n_evals + n_r;
-    tot.n_instrs <- tot.n_instrs + Compiled.eval_cost c
+    Compiled.propensities_into c state a;
+    tot.n_evals <- tot.n_evals + n_r
   in
   let rec loop t events =
     if t < cfg.t_end then begin
@@ -130,7 +132,7 @@ let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
       if a0 <= 0. then begin
         (* Nothing can fire: jump to the next intervention, if any. *)
         if t_ev <= cfg.t_end then begin
-          match apply_events_at c ~set events with
+          match apply_events_at c state events with
           | Some (te, n, rest) ->
               applied := !applied + n;
               observe te;
@@ -144,7 +146,7 @@ let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
         let tau = Rng.exponential rng ~rate:a0 in
         let t' = t +. tau in
         if t' >= t_ev && t_ev <= cfg.t_end then begin
-          match apply_events_at c ~set events with
+          match apply_events_at c state events with
           | Some (te, n, rest) ->
               applied := !applied + n;
               observe te;
@@ -156,44 +158,27 @@ let run_direct ~sparse rng (c : Compiled.t) cfg events recorder tot =
           let mu = select a (Rng.float rng *. a0) in
           fire c state mu;
           incr fired;
-          if sparse then begin
+          if sparse then
             tot.n_evals <-
-              tot.n_evals + Compiled.refresh_affected_in c ~regs state mu a;
-            tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu
-          end;
+              tot.n_evals + Compiled.refresh_affected c state mu a;
           observe t';
           loop t' events
         end
       end
     end
   in
-  (* Interventions scheduled at or before t0 initialise the state. *)
-  let rec catch_up events =
-    match Events.next events with
-    | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c ~set events with
-        | Some (_, n, rest) ->
-            applied := !applied + n;
-            catch_up rest
-        | None -> events)
-    | Some _ | None -> events
-  in
-  let events = catch_up events in
-  (* Observe only after catch-up so events at t0 are part of the
-     recorded initial state, exactly as in the other two algorithms. *)
+  (* The caller has already applied the events at or before t0, so
+     they are part of the recorded initial state. *)
   observe cfg.t0;
   if sparse then refresh_all ();
   loop cfg.t0 events;
-  (state, !fired, !applied)
+  (!fired, !applied)
 
-let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
-  let state = Array.copy c.c_initial in
-  let set i v = state.(i) <- v in
+let run_next_reaction rng (c : Compiled.t) cfg state events recorder tot =
   let fired = ref 0 and applied = ref 0 in
   let n = Array.length c.c_reactions in
   let heap = Indexed_heap.create n in
   let a = Array.make n 0. in
-  let regs = Compiled.make_regs c in
   let observe t =
     tot.n_obs <- tot.n_obs + 1;
     Trace.Recorder.observe recorder t state
@@ -203,24 +188,12 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
   in
   let redraw_all t =
     tot.n_evals <- tot.n_evals + n;
-    tot.n_instrs <- tot.n_instrs + Compiled.eval_cost c;
     tot.n_heap <- tot.n_heap + n;
     for i = 0 to n - 1 do
-      a.(i) <- Compiled.propensity_in c ~regs state i;
+      a.(i) <- Compiled.propensity c state i;
       Indexed_heap.update heap i (draw_time t a.(i))
     done
   in
-  let rec catch_up events =
-    match Events.next events with
-    | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c ~set events with
-        | Some (_, m, rest) ->
-            applied := !applied + m;
-            catch_up rest
-        | None -> events)
-    | Some _ | None -> events
-  in
-  let events = catch_up events in
   observe cfg.t0;
   redraw_all cfg.t0;
   let rec loop events =
@@ -228,7 +201,7 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
     let t_ev = Events.next_time events in
     if Float.min t_mu t_ev >= cfg.t_end then ()
     else if t_ev <= t_mu then begin
-      match apply_events_at c ~set events with
+      match apply_events_at c state events with
       | Some (te, m, rest) ->
           applied := !applied + m;
           observe te;
@@ -253,7 +226,6 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
       let affected = Compiled.affected_reactions c mu in
       let n_aff = Array.length affected in
       tot.n_evals <- tot.n_evals + n_aff;
-      tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu;
       tot.n_heap <- tot.n_heap + n_aff;
       if not (array_mem mu affected) then begin
         tot.n_heap <- tot.n_heap + 1;
@@ -262,7 +234,7 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
       Array.iter
         (fun j ->
           let aj_old = a.(j) in
-          let aj_new = Compiled.propensity_in c ~regs state j in
+          let aj_new = Compiled.propensity c state j in
           a.(j) <- aj_new;
           if j = mu then Indexed_heap.update heap j (draw_time t_mu aj_new)
           else begin
@@ -280,7 +252,7 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
     end
   in
   loop events;
-  (state, !fired, !applied)
+  (!fired, !applied)
 
 (* Explicit tau-leaping. The leap length follows Cao, Gillespie & Petzold
    (2006): bound the expected relative change of every species by
@@ -295,11 +267,10 @@ let run_next_reaction rng (c : Compiled.t) cfg events recorder tot =
    credited in full while the reactants gave up fewer molecules than
    were consumed, creating mass out of nothing and corrupting every
    propensity evaluated downstream. *)
-let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
+let run_tau_leap rng (c : Compiled.t) cfg ~epsilon state events recorder
+    tot =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg "Sim: tau-leaping epsilon must be in (0, 1)";
-  let state = Array.copy c.c_initial in
-  let set i v = state.(i) <- v in
   let fired = ref 0 and applied = ref 0 in
   let observe t =
     tot.n_obs <- tot.n_obs + 1;
@@ -332,24 +303,11 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
     done;
     !tau
   in
-  let rec catch_up events =
-    match Events.next events with
-    | Some (e, _) when e.Events.e_time <= cfg.t0 -> (
-        match apply_events_at c ~set events with
-        | Some (_, m, rest) ->
-            applied := !applied + m;
-            catch_up rest
-        | None -> events)
-    | Some _ | None -> events
-  in
-  let events = catch_up events in
   observe cfg.t0;
   let a = Array.make n_reactions 0. in
-  let regs = Compiled.make_regs c in
   let refresh_all () =
-    Compiled.propensities_into_in c ~regs state a;
-    tot.n_evals <- tot.n_evals + n_reactions;
-    tot.n_instrs <- tot.n_instrs + Compiled.eval_cost c
+    Compiled.propensities_into c state a;
+    tot.n_evals <- tot.n_evals + n_reactions
   in
   (* The cache [a] is kept authoritative across iterations, so only the
      exact-fallback branch can update it sparsely: a leap fires many
@@ -405,7 +363,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
       let t_ev = Events.next_time events in
       if a0 <= 0. then begin
         if t_ev <= cfg.t_end then begin
-          match apply_events_at c ~set events with
+          match apply_events_at c state events with
           | Some (te, m, rest) ->
               applied := !applied + m;
               observe te;
@@ -427,7 +385,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
           | Some tau ->
               let t' = t +. tau in
               if t' >= t_ev && t_ev <= cfg.t_end then begin
-                match apply_events_at c ~set events with
+                match apply_events_at c state events with
                 | Some (te, m, rest) ->
                     applied := !applied + m;
                     observe te;
@@ -448,7 +406,7 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
     let tau = Rng.exponential rng ~rate:a0 in
     let t' = t +. tau in
     if t' >= t_ev && t_ev <= cfg.t_end then begin
-      match apply_events_at c ~set events with
+      match apply_events_at c state events with
       | Some (te, m, rest) ->
           applied := !applied + m;
           observe te;
@@ -461,14 +419,13 @@ let run_tau_leap rng (c : Compiled.t) cfg ~epsilon events recorder tot =
       fire c state mu_r;
       incr fired;
       tot.n_evals <-
-        tot.n_evals + Compiled.refresh_affected_in c ~regs state mu_r a;
-      tot.n_instrs <- tot.n_instrs + Compiled.affected_cost c mu_r;
+        tot.n_evals + Compiled.refresh_affected c state mu_r a;
       observe t';
       loop t' events
     end
   in
   loop cfg.t0 events;
-  (state, !fired, !applied)
+  (!fired, !applied)
 
 module Metrics = Glc_obs.Metrics
 
@@ -480,7 +437,7 @@ let algorithm_label = function
 
 (* One registry interaction per run: the loops above count into [tot];
    this flushes the totals after the fact. *)
-let flush_metrics metrics cfg ~ir ~fired ~applied ~samples tot ~t_start =
+let flush_metrics metrics cfg ~fired ~applied ~samples tot ~t_start =
   let algo = algorithm_label cfg.algorithm in
   let c name = Metrics.counter metrics name in
   Metrics.Counter.incr (c ("ssa.runs." ^ algo));
@@ -491,12 +448,6 @@ let flush_metrics metrics cfg ~ir ~fired ~applied ~samples tot ~t_start =
   Metrics.Counter.add (c "ssa.recorder_observes") tot.n_obs;
   Metrics.Counter.add (c "ssa.tau_leap_rejections") tot.n_rej;
   Metrics.Counter.add (c "ssa.trace_samples") samples;
-  if ir then begin
-    (* the tripwire CI keys on ssa.ir.evals > 0 to prove the IR path
-       is the one actually simulating *)
-    Metrics.Counter.add (c "ssa.ir.evals") tot.n_evals;
-    Metrics.Counter.add (c "ssa.ir.instructions") tot.n_instrs
-  end;
   Metrics.observe_since metrics ("ssa.run_seconds." ^ algo) t_start
 
 let run_compiled_rng ?(events = Events.empty) ?(metrics = Metrics.noop) ~rng
@@ -508,20 +459,23 @@ let run_compiled_rng ?(events = Events.empty) ?(metrics = Metrics.noop) ~rng
       ~t_end:cfg.t_end ~dt:cfg.dt
   in
   let tot = make_tot () in
-  let state, fired, applied =
+  let state = Array.copy c.c_initial in
+  (* Interventions scheduled at or before t0 initialise the state. *)
+  let caught_up, events = catch_up c state ~t0:cfg.t0 events in
+  let fired, applied =
     match cfg.algorithm with
-    | Direct -> run_direct ~sparse:true rng c cfg events recorder tot
+    | Direct -> run_direct ~sparse:true rng c cfg state events recorder tot
     | Direct_full_recompute ->
-        run_direct ~sparse:false rng c cfg events recorder tot
-    | Next_reaction -> run_next_reaction rng c cfg events recorder tot
+        run_direct ~sparse:false rng c cfg state events recorder tot
+    | Next_reaction -> run_next_reaction rng c cfg state events recorder tot
     | Tau_leaping { epsilon } ->
-        run_tau_leap rng c cfg ~epsilon events recorder tot
+        run_tau_leap rng c cfg ~epsilon state events recorder tot
   in
+  let applied = caught_up + applied in
   let trace = Trace.Recorder.finish recorder in
   if live then
-    flush_metrics metrics cfg
-      ~ir:(c.Compiled.c_path <> Compiled.Ast)
-      ~fired ~applied ~samples:(Trace.length trace) tot ~t_start;
+    flush_metrics metrics cfg ~fired ~applied ~samples:(Trace.length trace)
+      tot ~t_start;
   let final_state =
     Array.to_list (Array.mapi (fun i id -> (id, state.(i))) c.c_names)
   in

@@ -83,6 +83,24 @@ val run_compiled_rng :
     ignored). The ensemble engine uses this to give every replicate its
     own {!Rng.split}-derived stream while sharing one compiled model. *)
 
+val apply_events_at :
+  Compiled.t -> float array -> Events.schedule ->
+  (float * int * Events.schedule) option
+(** [apply_events_at c state schedule] clamps [state] to every event
+    scheduled at the schedule's earliest time (negative amounts become
+    0) and returns that time, the number of events applied and the
+    rest of the schedule; [None] on an empty schedule. Shared by every
+    simulator here and by {!Ode}.
+    @raise Invalid_argument for an event on a species [c] does not
+    have. *)
+
+val catch_up :
+  Compiled.t -> float array -> t0:float -> Events.schedule ->
+  int * Events.schedule
+(** [catch_up c state ~t0 schedule] applies, in order, every event at
+    or before [t0] — they initialise the state — and returns how many
+    it applied and the rest of the schedule. *)
+
 (**/**)
 
 val select : float array -> float -> int

@@ -35,7 +35,92 @@ let test_protocol_validation () =
   expect_invalid (fun () -> Protocol.make ~threshold:0. ());
   expect_invalid (fun () ->
       Protocol.make ~input_high:1. ~input_low:2. ());
-  expect_invalid (fun () -> Protocol.with_threshold Protocol.default 0.)
+  expect_invalid (fun () -> Protocol.with_threshold Protocol.default 0.);
+  (* non-finite values are rejected like non-positive ones: an infinite
+     total never ends a simulation, a NaN one prints "nan t.u." *)
+  List.iter
+    (fun v ->
+      expect_invalid (fun () -> Protocol.make ~total_time:v ());
+      expect_invalid (fun () -> Protocol.make ~hold_time:v ());
+      expect_invalid (fun () -> Protocol.make ~threshold:v ());
+      expect_invalid (fun () -> Protocol.make ~dt:v ());
+      expect_invalid (fun () -> Protocol.with_threshold Protocol.default v))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* ---- CLI protocol options ---- *)
+
+let glcv_exe = Filename.concat (Sys.getcwd ()) "../bin/glcv.exe"
+
+(* Runs the CLI with stdout discarded and a 30 s limit; returns the exit
+   code (-1 when it had to be killed) and the captured stderr. *)
+let run_glcv args =
+  let err_path = Filename.temp_file "glcv" ".stderr" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process glcv_exe
+      (Array.of_list (glcv_exe :: args))
+      devnull devnull err
+  in
+  Unix.close devnull;
+  Unix.close err;
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () > deadline ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        -1
+    | 0, _ ->
+        Unix.sleepf 0.01;
+        wait ()
+    | _, Unix.WEXITED code -> code
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+  in
+  let code = wait () in
+  let ic = open_in_bin err_path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err_path;
+  (code, text)
+
+let test_cli_rejects_bad_protocol_values () =
+  (* every protocol time or threshold that is not a positive finite
+     number is a cmdliner usage error (124) with a one-line message —
+     not an uncaught Invalid_argument (125), a hang, or a run over
+     "nan t.u." *)
+  let protocol_flags = [ "--total"; "--hold"; "--threshold"; "-t" ] in
+  List.iter
+    (fun (cmd, flags) ->
+      List.iter
+        (fun flag ->
+          List.iter
+            (fun v ->
+              let arg =
+                if String.length flag = 2 then flag ^ v else flag ^ "=" ^ v
+              in
+              let what = Printf.sprintf "%s %s" cmd arg in
+              let code, err = run_glcv [ cmd; "genetic_NOT"; arg ] in
+              checki (what ^ ": exit code") 124 code;
+              match String.split_on_char '\n' err with
+              | first :: second :: _ ->
+                  checkb (what ^ ": one-line message") true
+                    (String.starts_with ~prefix:"glcv: option" first
+                    && String.starts_with ~prefix:"Usage:" second)
+              | _ -> Alcotest.failf "%s: unexpected stderr %S" what err)
+            [ "0"; "-1"; "nan"; "inf" ])
+        flags)
+    [
+      ("simulate", protocol_flags);
+      ("analyze", protocol_flags);
+      ("ensemble", protocol_flags);
+      ("verify", protocol_flags);
+      ("delay", protocol_flags);
+      ("sweep", [ "--total"; "--hold"; "--thresholds" ]);
+      ("robustness", protocol_flags);
+      ("probe", protocol_flags);
+      ("certify", protocol_flags);
+    ]
 
 let test_protocol_with_threshold () =
   let p = Protocol.with_threshold Protocol.default 40. in
@@ -306,6 +391,8 @@ let () =
           Alcotest.test_case "with_threshold" `Quick
             test_protocol_with_threshold;
           Alcotest.test_case "slots and rows" `Quick test_protocol_slots_rows;
+          Alcotest.test_case "CLI rejects bad protocol values" `Quick
+            test_cli_rejects_bad_protocol_values;
         ] );
       ( "experiment",
         [

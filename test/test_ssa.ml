@@ -668,11 +668,33 @@ let test_sim_events_applied () =
   checkf 0. "after" 5. (Trace.value tr "I" 25)
 
 let test_sim_event_on_unknown_species () =
+  (* every simulator shares one event applier: at t0 (catch-up) and
+     mid-run, under each SSA algorithm and the ODE integrator *)
   let m = birth_death ~k:1. ~gamma:1. in
-  let events = Events.of_list [ Events.set 1. "nope" 1. ] in
-  match Sim.run ~events (Sim.config ~t_end:5. ()) m with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
+  List.iter
+    (fun t_ev ->
+      let events = Events.of_list [ Events.set t_ev "nope" 1. ] in
+      let expect what run =
+        match run () with
+        | exception Invalid_argument _ -> ()
+        | _ ->
+            Alcotest.failf "%s, event at %g: expected Invalid_argument" what
+              t_ev
+      in
+      List.iter
+        (fun (what, algorithm) ->
+          expect what (fun () ->
+              ignore (Sim.run ~events (Sim.config ~algorithm ~t_end:5. ()) m)))
+        [
+          ("direct", Sim.Direct);
+          ("direct full", Sim.Direct_full_recompute);
+          ("next reaction", Sim.Next_reaction);
+          ("tau leap", Sim.Tau_leaping { epsilon = 0.05 });
+        ];
+      expect "ode" (fun () ->
+          ignore
+            (Glc_ssa.Ode.run ~events (Glc_ssa.Ode.config ~t_end:5. ()) m)))
+    [ 0.; 1. ]
 
 let test_sim_boundary_untouched_by_reactions () =
   (* An input species read by a reaction keeps its clamped value. *)
@@ -1080,7 +1102,7 @@ let test_sparse_equivalence_circuits () =
     (fun circuit ->
       let events = Glc_dvasim.Experiment.input_schedule protocol circuit in
       let model = Glc_gates.Circuit.model circuit in
-      let run ?(path = Compiled.Ir) algorithm =
+      let run ?(path = Compiled.Shape) algorithm =
         let c = Compiled.compile ~path model in
         Trace.to_csv
           (fst
@@ -1092,135 +1114,232 @@ let test_sparse_equivalence_circuits () =
       Alcotest.(check string)
         (circuit.Glc_gates.Circuit.name ^ ": byte-identical trace")
         reference (run Sim.Direct);
-      (* the IR is an optimisation, not a semantics change: the AST
-         reference path reproduces the same bytes *)
+      (* the shape match is an optimisation, not a semantics change:
+         the AST reference path reproduces the same bytes *)
       Alcotest.(check string)
         (circuit.Glc_gates.Circuit.name ^ ": AST path byte-identical")
         reference
         (run ~path:Compiled.Ast Sim.Direct))
     (Glc_gates.Benchmarks.all ())
 
-(* ---- flat propensity IR ---- *)
+(* ---- compiled kinetic laws ---- *)
 
-module Ir = Glc_ssa.Ir
+(* [e] as the law of a one-reaction model over species x, y, z, with
+   [params] declared as model parameters, compiled on the default
+   path. *)
+let law_of ?(params = []) e =
+  let m =
+    Model.make ~id:"law"
+      ~species:(List.map (fun id -> Model.species id 0.) [ "x"; "y"; "z" ])
+      ~parameters:(List.map (fun (id, v) -> Model.parameter id v) params)
+      ~reactions:[ Model.reaction ~products:[ ("x", 1) ] ~rate:e "r" ]
+      ()
+  in
+  (Compiled.compile m).Compiled.c_reactions.(0).Compiled.c_law
 
-let resolve_xyz = function
-  | "x" -> Some 0
-  | "y" -> Some 1
-  | "z" -> Some 2
-  | _ -> None
+let shape_name = function
+  | Compiled.Const _ -> "const"
+  | Compiled.Mass_action _ -> "mass-action"
+  | Compiled.Repressor _ -> "repressor"
+  | Compiled.Activator _ -> "activator"
+  | Compiled.Repressor2 _ -> "repressor2"
+  | Compiled.Generic _ -> "generic"
 
-let ir_eval_of e state =
-  let ex, _ = Ir.compile ~resolve:resolve_xyz e in
-  Ir.eval ex ~regs:(Array.make ex.Ir.e_prog.Ir.p_regs 0.) state
+(* [Math.eval] of [e] at [state] (x, y, z) with [params] bound *)
+let math_eval ?(params = []) e state =
+  Math.eval
+    ~lookup:(function
+      | "x" -> state.(0)
+      | "y" -> state.(1)
+      | "z" -> state.(2)
+      | id -> List.assoc id params)
+    e
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 let test_ir_const_fold () =
-  (* (2 + 3) * x folds the addition at compile time; the remaining
-     multiply reads the pool and the state directly, so the whole law
-     is one instruction *)
-  let e = Math.((num 2. + num 3.) * var "x") in
-  let ex, st = Ir.compile ~resolve:resolve_xyz e in
-  checki "one fold" 1 st.Ir.s_const_folds;
-  checki "one instruction" 1 st.Ir.s_instrs;
-  checkf 0. "value" 20.
-    (Ir.eval ex ~regs:(Array.make ex.Ir.e_prog.Ir.p_regs 0.) [| 4.; 0.; 0. |]);
-  (* a law folding entirely to a constant emits no code at all *)
-  let ex2, st2 = Ir.compile ~resolve:resolve_xyz Math.(num 2. ** num 5.) in
-  checki "no code" 0 (Array.length ex2.Ir.e_prog.Ir.p_code);
-  checki "pow folded" 1 st2.Ir.s_const_folds;
-  checkf 0. "folded value" 32. (Ir.eval ex2 ~regs:[||] [||]);
+  (* (2 + 3) * x folds the addition at compile time and becomes a
+     mass-action law *)
+  let law = law_of Math.((num 2. + num 3.) * var "x") in
+  checks "k * x" "mass-action" (shape_name law);
+  checkf 0. "value" 20. (Compiled.eval_law law [| 4.; 0.; 0. |]);
+  (* a law folding entirely to a constant *)
+  let law = law_of Math.(num 2. ** num 5.) in
+  checks "2^5" "const" (shape_name law);
+  checkf 0. "folded value" 32. (Compiled.eval_law law [||]);
   (* folding is IEEE-exact, never algebraic: 0 * x survives so a NaN
      state still propagates *)
   checkb "0 * nan is nan" true
-    (Float.is_nan (ir_eval_of Math.(num 0. * var "x") [| Float.nan; 0.; 0. |]))
+    (Float.is_nan
+       (Compiled.eval_law
+          (law_of Math.(num 0. * var "x"))
+          [| Float.nan; 0.; 0. |]))
 
-let test_ir_fusion_real_models () =
-  (* Every real model's laws fuse: each reaction compiles to at most
-     one IR instruction (a Hill production law to one superinstruction,
-     a degradation law to one mass-action multiply). A silent regression
-     in superinstruction selection shows up here as a model with more
-     instructions than reactions. *)
-  let check name circuit =
-    let c = Compiled.compile (Glc_gates.Circuit.model circuit) in
-    match Compiled.ir_stats c with
-    | None -> Alcotest.failf "%s: no IR statistics" name
-    | Some st ->
-        let n = Array.length c.Compiled.c_reactions in
-        if st.Compiled.ir_instrs > n then
-          Alcotest.failf "%s: %d IR instructions for %d reactions" name
-            st.Compiled.ir_instrs n
+(* Every law of every real model matches a specialised shape: the 15
+   Table-1 circuits, all 256 3-input circuits and the shipped SBML
+   models. A regression in shape matching shows up as a Generic law. *)
+let test_ir_no_generic_real_models () =
+  let check name model =
+    Array.iter
+      (fun r ->
+        match r.Compiled.c_law with
+        | Compiled.Generic _ ->
+            Alcotest.failf "%s: reaction %s has no specialised shape" name
+              r.Compiled.c_id
+        | _ -> ())
+      (Compiled.compile model).Compiled.c_reactions
   in
   List.iter
-    (fun c -> check c.Glc_gates.Circuit.name c)
+    (fun c -> check c.Glc_gates.Circuit.name (Glc_gates.Circuit.model c))
     (Glc_gates.Benchmarks.all ());
   List.iter
     (fun code ->
       check
         (Glc_space.Fn.name_of_code ~arity:3 code)
-        (Glc_space.Fn.circuit ~arity:3 code))
-    (Glc_space.Fn.all_codes ~arity:3)
+        (Glc_gates.Circuit.model (Glc_space.Fn.circuit ~arity:3 code)))
+    (Glc_space.Fn.all_codes ~arity:3);
+  let dir =
+    if Sys.file_exists "models" then "models" else Filename.concat ".." "models"
+  in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".sbml.xml")
+  in
+  checkb "SBML models found" true (files <> []);
+  List.iter
+    (fun f ->
+      match Glc_model.Sbml.read_file (Filename.concat dir f) with
+      | Ok m -> check f m
+      | Error e -> Alcotest.failf "%s: %s" f e)
+    files
 
-let test_ir_hill_superinstruction () =
-  (* A gate's whole production law — built the way the SBOL importer
-     builds it — fuses to a single superinstruction: k^n folds, and the
-     remaining [ymin + (ymax-ymin) * factor] shape is one opcode. *)
+(* A gate's production law built the way the SBOL importer builds it:
+   parameters for ymin, ymax, K and n, the response
+   [ymin + (ymax - ymin) * product] over one or two Hill factors. *)
+let gate_law factors =
+  let open Math in
+  let factor i (kind, x, _, _) =
+    let k = var (Printf.sprintf "K%d" i) and n = var (Printf.sprintf "n%d" i) in
+    let kn = k ** n and xn = var x ** n in
+    match kind with `Rep -> kn / (kn + xn) | `Act -> xn / (kn + xn)
+  in
+  let product =
+    match List.mapi factor factors with
+    | [] -> assert false
+    | f :: fs -> List.fold_left Math.( * ) f fs
+  in
+  let params =
+    List.concat
+      (List.mapi
+         (fun i (_, _, k, n) ->
+           [ (Printf.sprintf "K%d" i, k); (Printf.sprintf "n%d" i, n) ])
+         factors)
+  in
+  (var "ymin" + ((var "ymax" - var "ymin") * product), params)
+
+let prop_hill_shapes_match_math_eval =
+  let open QCheck in
+  let pos = Gen.float_range 0.01 100. in
+  let gen =
+    Gen.(
+      let factor kind x =
+        map2 (fun k n -> (kind, x, k, n)) pos (float_range 0.5 4.)
+      in
+      let count = oneofl [ 0.; 1.; 3.; 15.; 250.; 1e6 ] in
+      triple
+        (oneof
+           [
+             map (fun f -> ("repressor", [ f ])) (factor `Rep "x");
+             map (fun f -> ("activator", [ f ])) (factor `Act "y");
+             map2
+               (fun f g -> ("repressor2", [ f; g ]))
+               (factor `Rep "x") (factor `Rep "z");
+           ])
+        (pair (float_range 0. 1.) pos)
+        (triple (oneof [ count; float_range 0. 1e4 ]) count count))
+  in
+  let print ((name, fs), (ymin, ymax), (x, y, z)) =
+    Printf.sprintf "%s %s ymin=%h ymax=%h state=(%h,%h,%h)" name
+      (String.concat ","
+         (List.map
+            (fun (_, v, k, n) -> Printf.sprintf "%s:K=%h,n=%h" v k n)
+            fs))
+      ymin ymax x y z
+  in
+  Test.make ~name:"Hill shapes match Math.eval bits" ~count:500
+    (make ~print gen)
+    (fun ((name, factors), (ymin, ymax), (x, y, z)) ->
+      let e, params = gate_law factors in
+      let params = ("ymin", ymin) :: ("ymax", ymax) :: params in
+      let law = law_of ~params e in
+      let state = [| x; y; z |] in
+      let expected = math_eval ~params e state in
+      let got = Compiled.eval_law law state in
+      if shape_name law <> name then
+        Test.fail_reportf "expected shape %s, got %s" name (shape_name law)
+      else if not (same_bits expected got) then
+        Test.fail_reportf "Math.eval %h <> shape %h" expected got
+      else true)
+
+let test_ir_hill_shapes () =
+  (* A gate's whole production law with literal constants takes one
+     specialised shape — k^n folds, and the remaining
+     [ymin + (ymax-ymin) * factor] is one match arm. *)
   let open Math in
   let kn = num 12. ** num 2.4 in
   let xn = var "x" ** num 2.4 in
   let gate product = num 0.03 + ((num 5. - num 0.03) * product) in
-  let check_fused name law =
-    let _, st = Ir.compile ~resolve:resolve_xyz law in
-    checki (name ^ " fuses to one instruction") 1 st.Ir.s_instrs;
+  let check name shape law =
+    let compiled = law_of law in
+    checks (name ^ ": shape") shape (shape_name compiled);
     List.iter
       (fun v ->
-        let ast = Math.eval ~lookup:(fun _ -> v) law in
-        let ir = ir_eval_of law [| v; 0.; 0. |] in
-        if Int64.bits_of_float ast <> Int64.bits_of_float ir then
-          Alcotest.failf "%s(%g): ast %h <> ir %h" name v ast ir)
+        let state = [| v; 0.; 0. |] in
+        let expected = math_eval law state in
+        let got = Compiled.eval_law compiled state in
+        if not (same_bits expected got) then
+          Alcotest.failf "%s(%g): Math.eval %h <> compiled %h" name v
+            expected got)
       [ 0.; 1.; 7.3; 12.; 1e6 ]
   in
-  check_fused "repression" (gate (kn / (kn + xn)));
-  (* activation evaluates x^n twice in the AST; the fused form computes
-     it once yet returns the same bits *)
-  check_fused "activation" (gate (xn / (kn + xn)));
+  check "repression" "repressor" (gate (kn / (kn + xn)));
+  (* activation evaluates x^n twice in the AST; the shape computes it
+     once yet returns the same bits *)
+  check "activation" "activator" (gate (xn / (kn + xn)));
   (* the library's own hill constructors associate the numerator
-     differently, so they fold to a constant numerator and take the
-     hillrf factor superinstruction plus the final add: two
-     instructions, still bit-identical *)
-  let law =
-    hill_repression ~ymin:(num 0.03) ~ymax:(num 5.) ~k:(num 12.)
-      ~n:(num 2.4) (var "x")
-  in
-  let _, st = Ir.compile ~resolve:resolve_xyz law in
-  checki "constructor form takes two instructions" 2 st.Ir.s_instrs;
+     differently — no gate model is built that way — so they take the
+     Generic fallback, still bit-identical *)
+  check "constructor form" "generic"
+    (hill_repression ~ymin:(num 0.03) ~ymax:(num 5.) ~k:(num 12.)
+       ~n:(num 2.4) (var "x"))
+
+let test_ir_activator_near_miss () =
+  (* An activator factor whose two reads differ in species or exponent
+     is not the activator shape: it falls back to Generic and still
+     evaluates to Math.eval's bits. *)
+  let open Math in
+  let params = [ ("ymin", 0.03); ("ymax", 5.); ("K", 12.) ] in
+  let gate f = var "ymin" + ((var "ymax" - var "ymin") * f) in
+  let kn = var "K" ** num 2.4 in
   List.iter
-    (fun v ->
-      let ast = Math.eval ~lookup:(fun _ -> v) law in
-      let ir = ir_eval_of law [| v; 0.; 0. |] in
-      if Int64.bits_of_float ast <> Int64.bits_of_float ir then
-        Alcotest.failf "hill(%g): ast %h <> ir %h" v ast ir)
-    [ 0.; 1.; 7.3; 12.; 1e6 ]
+    (fun (what, law) ->
+      let compiled = law_of ~params law in
+      checks (what ^ ": generic") "generic" (shape_name compiled);
+      List.iter
+        (fun state ->
+          let expected = math_eval ~params law state in
+          let got = Compiled.eval_law compiled state in
+          if not (same_bits expected got) then
+            Alcotest.failf "%s: Math.eval %h <> compiled %h" what expected got)
+        [ [| 0.; 0.; 0. |]; [| 7.3; 20.; 0. |]; [| 1e6; 3.; 0. |] ])
+    [
+      ("x <> x'", gate ((var "x" ** num 2.4) / (kn + (var "y" ** num 2.4))));
+      ("n <> n'", gate ((var "x" ** num 2.4) / (kn + (var "x" ** num 1.7))));
+    ]
 
-let test_ir_register_bounds () =
-  let e = Math.((var "x" + var "y") * (var "x" - var "y")) in
-  let ex, st = Ir.compile ~resolve:resolve_xyz e in
-  let p = ex.Ir.e_prog in
-  (* single assignment: one register per emitted instruction *)
-  checki "regs = instrs" st.Ir.s_instrs p.Ir.p_regs;
-  checkb "needs registers" true (p.Ir.p_regs > 0);
-  checkf 0. "value" 5. (ir_eval_of e [| 3.; 2.; 0. |]);
-  Alcotest.check_raises "short register file"
-    (Invalid_argument "Ir.exec: register file smaller than p_regs")
-    (fun () ->
-      ignore (Ir.eval ex ~regs:(Array.make (p.Ir.p_regs - 1) 0.) [| 1.; 2.; 0. |]))
-
-let test_ir_unresolved_ident () =
-  match Ir.compile ~resolve:resolve_xyz (Math.var "ghost") with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-(* Random laws over every operator with awkward constants: the IR must
-   return the very bits Math.eval returns, NaN and infinity included. *)
+(* Random laws over every operator with awkward constants: compiled
+   evaluation must return the very bits Math.eval returns, NaN and
+   infinity included. Most of these laws take the Generic fallback. *)
 let rec ir_math_gen depth =
   let open QCheck.Gen in
   let const =
@@ -1251,7 +1370,7 @@ let rec ir_math_gen depth =
 
 let prop_ir_matches_math_eval =
   QCheck.Test.make
-    ~name:"IR evaluation is bit-identical to Math.eval on random laws"
+    ~name:"laws bit-identical to Math.eval"
     ~count:500
     QCheck.(
       pair
@@ -1262,22 +1381,16 @@ let prop_ir_matches_math_eval =
       let state =
         [| float_of_int vx; float_of_int vy /. 4.; float_of_int vz |]
       in
-      let lookup = function
-        | "x" -> state.(0)
-        | "y" -> state.(1)
-        | "z" -> state.(2)
-        | _ -> raise Not_found
-      in
-      let ast = Math.eval ~lookup e in
-      let ir = ir_eval_of e state in
-      if Int64.bits_of_float ast = Int64.bits_of_float ir then true
+      let expected = math_eval e state in
+      let got = Compiled.eval_law (law_of e) state in
+      if same_bits expected got then true
       else
-        QCheck.Test.fail_reportf "ast %h <> ir %h on %s" ast ir
-          (Math.to_string e))
+        QCheck.Test.fail_reportf "Math.eval %h <> compiled %h on %s"
+          expected got (Math.to_string e))
 
 let prop_ir_ast_trace_equivalence =
   QCheck.Test.make
-    ~name:"IR and AST paths produce byte-identical traces" ~count:80
+    ~name:"shape and AST traces byte-identical" ~count:80
     QCheck.small_int (fun seed ->
       let m = random_mass_action_model seed in
       let run path =
@@ -1286,7 +1399,7 @@ let prop_ir_ast_trace_equivalence =
           (fst
              (Sim.run_compiled (Sim.config ~seed:(seed + 1) ~t_end:30. ()) c))
       in
-      String.equal (run Compiled.Ir) (run Compiled.Ast))
+      String.equal (run Compiled.Shape) (run Compiled.Ast))
 
 (* ---- non-finite propensities ---- *)
 
@@ -1330,7 +1443,7 @@ let test_non_finite_propensity_raises () =
               checkb (case ^ ": state recorded") true
                 (List.mem_assoc "X" nf_state))
         cases)
-    [ ("ast", Compiled.Ast); ("ir", Compiled.Ir) ]
+    [ ("ast", Compiled.Ast); ("shape", Compiled.Shape) ]
 
 let test_negative_propensity_still_clamps () =
   (* finite negatives stay a clamp, not an error: the law dips below
@@ -1351,7 +1464,7 @@ let test_negative_propensity_still_clamps () =
       let c = Compiled.compile ~path m in
       let a = Compiled.propensities c [| 0. |] in
       checkf 0. "clamped to zero" 0. a.(0))
-    [ Compiled.Ast; Compiled.Ir ]
+    [ Compiled.Ast; Compiled.Shape ]
 
 (* ---- recorder grid property ---- *)
 
@@ -1459,15 +1572,19 @@ let () =
       ( "ir",
         [
           Alcotest.test_case "constant folding" `Quick test_ir_const_fold;
-          Alcotest.test_case "real models fuse to one instruction per reaction"
-            `Quick test_ir_fusion_real_models;
+          Alcotest.test_case "real models have no Generic law"
+            `Quick test_ir_no_generic_real_models;
           Alcotest.test_case "Hill responses fuse to one instruction"
-            `Quick test_ir_hill_superinstruction;
-          Alcotest.test_case "register bounds" `Quick test_ir_register_bounds;
-          Alcotest.test_case "unresolved identifier" `Quick
-            test_ir_unresolved_ident;
+            `Quick test_ir_hill_shapes;
+          Alcotest.test_case "activator near-miss is Generic"
+            `Quick test_ir_activator_near_miss;
         ]
-        @ qc [ prop_ir_matches_math_eval; prop_ir_ast_trace_equivalence ] );
+        @ qc
+            [
+              prop_ir_matches_math_eval;
+              prop_ir_ast_trace_equivalence;
+              prop_hill_shapes_match_math_eval;
+            ] );
       ( "simulation",
         [
           Alcotest.test_case "determinism" `Quick test_sim_determinism;

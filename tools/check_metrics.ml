@@ -17,10 +17,11 @@
    counter's value never exceeds the ceiling — the tripwire CI uses to
    catch regressions of the sparse propensity engine
    (ssa.propensity_evals is deterministic for a fixed seed) and runaway
-   serve.* failure counters. The dual --min COUNTER=FLOOR asserts a
-   counter reached at least the floor — the tripwire proving a code
-   path actually ran (ssa.ir.evals >= 1 proves the IR evaluator, not
-   the AST reference, did the simulating). In text mode dotted counter
+   serve.* failure counters — and that a fallback never ran
+   (ssa.laws.generic = 0 proves every kinetic law took a specialised
+   shape). The dual --min COUNTER=FLOOR asserts a counter reached at
+   least the floor — the tripwire proving a code path actually ran. In
+   text mode dotted counter
    names are mangled the way the exposition mangles them
    (serve.jobs_failed matches serve_jobs_failed). Exits nonzero with a
    message on any mismatch. *)
