@@ -724,15 +724,10 @@ let certify_cmd =
         let certify c = Certificate.certify ~metrics ~margin ~protocol c in
         if all then begin
           let certs = List.map certify (Benchmarks.all ()) in
-          if json then begin
-            print_string "[";
-            List.iteri
-              (fun i ct ->
-                if i > 0 then print_string ",";
-                print_string (Certificate.to_json ct))
-              certs;
-            print_string "]\n"
-          end
+          if json then
+            print_endline
+              (Glc_json.to_string
+                 (Glc_json.Array (List.map Certificate.json certs)))
           else begin
             List.iter (Format.printf "%a@.@." Certificate.pp) certs;
             let proved =
@@ -1726,7 +1721,7 @@ module Serve = struct
   module Server = Glc_serve.Server
   module Client = Glc_serve.Client
   module W = Glc_serve.Protocol_wire
-  module Json = Report.Json
+  module Json = Glc_json
 
   let serve_exits =
     Cmd.Exit.info exit_lint_error

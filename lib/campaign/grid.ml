@@ -1,4 +1,4 @@
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 module Protocol = Glc_dvasim.Protocol
 
 type t = {
@@ -141,29 +141,41 @@ let pp_job ppf job =
     | Some h -> Printf.sprintf "%g" h)
     job.j_replicates
 
+let input_high_json = function None -> Json.Null | Some h -> Json.Number h
+
+let job_fields job =
+  [
+    ("id", Json.String (job_id job));
+    ("circuit", Json.String job.j_circuit);
+    ("threshold", Json.Number job.j_threshold);
+    ("fov_ud", Json.Number job.j_fov_ud);
+    ("input_high", input_high_json job.j_input_high);
+    ("replicates", Json.Int job.j_replicates);
+  ]
+
 (* ---- manifest (de)serialisation ---- *)
 
-let json_list to_item xs =
-  "[" ^ String.concat "," (List.map to_item xs) ^ "]"
-
-let to_json g =
-  Printf.sprintf
-    "{\"circuits\":%s,\"thresholds\":%s,\"fov_uds\":%s,\"input_highs\":%s,\"replicate_counts\":%s}"
-    (json_list Json.string g.circuits)
-    (json_list Json.float g.thresholds)
-    (json_list Json.float g.fov_uds)
-    (json_list
-       (function None -> "null" | Some h -> Json.float h)
-       g.input_highs)
-    (json_list string_of_int g.replicate_counts)
+let json g =
+  let list f xs = Json.Array (List.map f xs) in
+  Json.Object
+    [
+      ("circuits", list (fun c -> Json.String c) g.circuits);
+      ("thresholds", list (fun x -> Json.Number x) g.thresholds);
+      ("fov_uds", list (fun x -> Json.Number x) g.fov_uds);
+      ("input_highs", list input_high_json g.input_highs);
+      ("replicate_counts", list (fun r -> Json.Int r) g.replicate_counts);
+    ]
 
 let spec_to_json s =
-  Printf.sprintf
-    "{\"version\":1,\"seed\":%d,\"total_time\":%s,\"hold_time\":%s,\"grid\":%s}"
-    s.seed
-    (Json.float s.total_time)
-    (Json.float s.hold_time)
-    (to_json s.grid)
+  Json.to_string
+    (Json.Object
+       [
+         ("version", Json.Int 1);
+         ("seed", Json.Int s.seed);
+         ("total_time", Json.Number s.total_time);
+         ("hold_time", Json.Number s.hold_time);
+         ("grid", json s.grid);
+       ])
 
 let field_of v name conv =
   match Option.bind (Json.member v name) conv with

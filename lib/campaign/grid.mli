@@ -76,9 +76,13 @@ val job_seed : seed:int -> job -> int
 
 val pp_job : Format.formatter -> job -> unit
 
-(** {2 Manifest (de)serialisation} *)
+val job_fields : job -> (string * Glc_json.value) list
+(** The job's coordinates as JSON fields, in document order: [id],
+    [circuit], [threshold], [fov_ud], [input_high] ([null] for the
+    protocol default), [replicates]. The one rendering shared by result
+    documents, the campaign report and serve status bodies. *)
 
-val to_json : t -> string
+(** {2 Manifest (de)serialisation} *)
 
 val spec_to_json : spec -> string
 (** The campaign [MANIFEST.json] body. Deterministic bytes. *)

@@ -1,4 +1,4 @@
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type event =
   | Scheduled of string
@@ -34,16 +34,17 @@ let open_ ~dir =
     ignore (Unix.write_substring fd "\n" 0 1);
   { fd; closed = false }
 
-let event_to_json = function
-  | Scheduled id ->
-      Printf.sprintf "{\"event\":\"scheduled\",\"job\":%s}" (Json.string id)
-  | Started id ->
-      Printf.sprintf "{\"event\":\"started\",\"job\":%s}" (Json.string id)
-  | Done id ->
-      Printf.sprintf "{\"event\":\"done\",\"job\":%s}" (Json.string id)
-  | Failed (id, error) ->
-      Printf.sprintf "{\"event\":\"failed\",\"job\":%s,\"error\":%s}"
-        (Json.string id) (Json.string error)
+let event_to_json event =
+  let kind, id, extra =
+    match event with
+    | Scheduled id -> ("scheduled", id, [])
+    | Started id -> ("started", id, [])
+    | Done id -> ("done", id, [])
+    | Failed (id, error) -> ("failed", id, [ ("error", Json.String error) ])
+  in
+  Json.to_string
+    (Json.Object
+       (("event", Json.String kind) :: ("job", Json.String id) :: extra))
 
 let append t event =
   if t.closed then invalid_arg "Journal.append: closed";

@@ -1,4 +1,4 @@
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 module Circuit = Glc_gates.Circuit
 module Benchmarks = Glc_gates.Benchmarks
 module Cello = Glc_gates.Cello
@@ -61,54 +61,51 @@ let job_protocol (spec : Grid.spec) (job : Grid.job) =
         ~hold_time:spec.Grid.hold_time ~threshold:job.Grid.j_threshold
         ~input_high ()
 
-(* Every stored document opens with the same job-coordinate prefix and
-   carries the same provenance triple + top-level [verified] /
-   [fitness_mean] summary fields, whichever execution path produced
-   it — report readers never branch on the document's origin. *)
-let document_prefix ~seed (job : Grid.job) =
-  Printf.sprintf
-    "{\"id\":%s,\"circuit\":%s,\"threshold\":%s,\"fov_ud\":%s,\"input_high\":%s,\"replicates\":%d,\"seed\":%d"
-    (Json.string (Grid.job_id job))
-    (Json.string job.Grid.j_circuit)
-    (Json.float job.Grid.j_threshold)
-    (Json.float job.Grid.j_fov_ud)
-    (match job.Grid.j_input_high with
-    | None -> "null"
-    | Some h -> Json.float h)
-    job.Grid.j_replicates seed
+(* Every stored document opens with the same job coordinates
+   ({!Grid.job_fields}) and seed, and carries the same provenance triple
+   + top-level [verified] / [fitness_mean] summary fields, whichever
+   execution path produced it — report readers never branch on the
+   document's origin. *)
+let document ~seed job ~provenance ~certified_rows ~total_rows ~verified
+    ~fitness_mean evidence =
+  Json.to_string
+    (Json.Object
+       (Grid.job_fields job
+       @ [
+           ("seed", Json.Int seed);
+           ("provenance", Json.String provenance);
+           ("certified_rows", Json.Int certified_rows);
+           ("total_rows", Json.Int total_rows);
+           ("verified", Json.Bool verified);
+           ("fitness_mean", Json.Number fitness_mean);
+           evidence;
+         ]))
 
-(* The simulated document: coordinates, provenance (how many rows the
-   certificate settled before the ensemble ran), top-level verdict and
-   fitness_mean convenience fields, and the full deterministic ensemble
-   report. Byte-deterministic for a given (spec, job). *)
+(* The simulated document: the full deterministic ensemble report is the
+   evidence; the certificate, when one rode along, only contributes how
+   many rows it settled before the ensemble ran. Byte-deterministic for
+   a given (spec, job). *)
 let job_document ?certificate ~seed (job : Grid.job) (t : Ensemble.t) =
   let certified_rows, total_rows =
     match certificate with
     | None -> (0, 0)
     | Some c -> (Certificate.decided c, Certificate.rows c)
   in
-  Printf.sprintf
-    "%s,\"provenance\":\"simulated\",\"certified_rows\":%d,\"total_rows\":%d,\"verified\":%s,\"fitness_mean\":%s,\"ensemble\":%s}"
-    (document_prefix ~seed job)
-    certified_rows total_rows
-    (Json.bool t.Ensemble.consensus_verified)
-    (Json.float t.Ensemble.fitness.Stats.mean)
-    (Ensemble.to_json t)
+  document ~seed job ~provenance:"simulated" ~certified_rows ~total_rows
+    ~verified:t.Ensemble.consensus_verified
+    ~fitness_mean:t.Ensemble.fitness.Stats.mean
+    ("ensemble", Ensemble.json t)
 
 (* The certified document: every row was proved symbolically, so there
    is no ensemble — the certificate itself is the evidence. A proof
    carries no sampling noise, so fitness_mean is a clean 100. *)
 let certified_document ~seed (job : Grid.job) (cert : Certificate.t) =
-  let verified =
-    match Certificate.verified cert with Some b -> b | None -> false
-  in
-  Printf.sprintf
-    "%s,\"provenance\":\"certified\",\"certified_rows\":%d,\"total_rows\":%d,\"verified\":%s,\"fitness_mean\":%s,\"certificate\":%s}"
-    (document_prefix ~seed job)
-    (Certificate.decided cert)
-    (Certificate.rows cert)
-    (Json.bool verified) (Json.float 100.)
-    (Certificate.to_json cert)
+  document ~seed job ~provenance:"certified"
+    ~certified_rows:(Certificate.decided cert)
+    ~total_rows:(Certificate.rows cert)
+    ~verified:(Certificate.verified cert = Some true)
+    ~fitness_mean:100.
+    ("certificate", Certificate.json cert)
 
 let run_job ?metrics ~pool ~cache (spec : Grid.spec) (job : Grid.job) =
   match resolve job.Grid.j_circuit with

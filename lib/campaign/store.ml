@@ -1,4 +1,4 @@
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type t = { dir : string }
 
@@ -166,7 +166,6 @@ let completed t =
 (* ---- the campaign report ---- *)
 
 type job_line = {
-  l_id : string;
   l_job : Grid.job;
   l_done : bool;
   l_verified : bool;  (** job verdict; false when not done *)
@@ -183,7 +182,6 @@ let job_line t job =
   let id = Grid.job_id job in
   let absent =
     {
-      l_id = id;
       l_job = job;
       l_done = false;
       l_verified = false;
@@ -236,52 +234,46 @@ let lines t (spec : Grid.spec) =
   List.map (job_line t) (Grid.expand spec.Grid.grid)
 
 let report_json t (spec : Grid.spec) =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
   let ls = lines t spec in
-  let done_count = List.length (List.filter (fun l -> l.l_done) ls) in
-  let verified_count =
-    List.length (List.filter (fun l -> l.l_verified) ls)
-  in
-  add "{\"campaign\":{";
-  add (Printf.sprintf "\"seed\":%d," spec.Grid.seed);
-  add
-    (Printf.sprintf "\"total_time\":%s,\"hold_time\":%s},"
-       (Json.float spec.Grid.total_time)
-       (Json.float spec.Grid.hold_time));
-  add
-    (Printf.sprintf
-       "\"totals\":{\"jobs\":%d,\"done\":%d,\"missing\":%d,\"verified\":%d},"
-       (List.length ls) done_count
-       (List.length ls - done_count)
-       verified_count);
-  add "\"jobs\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "{\"id\":%s,\"circuit\":%s,\"threshold\":%s,\"fov_ud\":%s,\"input_high\":%s,\"replicates\":%d,"
-           (Json.string l.l_id)
-           (Json.string l.l_job.Grid.j_circuit)
-           (Json.float l.l_job.Grid.j_threshold)
-           (Json.float l.l_job.Grid.j_fov_ud)
-           (match l.l_job.Grid.j_input_high with
-           | None -> "null"
-           | Some h -> Json.float h)
-           l.l_job.Grid.j_replicates);
-      if not l.l_done then add "\"status\":\"missing\"}"
+  let count p = Json.Int (List.length (List.filter p ls)) in
+  let line l =
+    Json.Object
+      (Grid.job_fields l.l_job
+      @
+      if not l.l_done then [ ("status", Json.String "missing") ]
       else
-        add
-          (Printf.sprintf
-             "\"status\":\"done\",\"provenance\":%s,\"certified_rows\":%d,\"total_rows\":%d,\"verified\":%s,\"verified_count\":%d,\"completed\":%d,\"failed\":%d,\"fitness_mean\":%s}"
-             (Json.string l.l_provenance) l.l_certified_rows l.l_total_rows
-             (Json.bool l.l_verified) l.l_verified_count l.l_completed
-             l.l_failed
-             (Json.float l.l_fitness_mean)))
-    ls;
-  add "]}";
-  Buffer.contents buf
+        [
+          ("status", Json.String "done");
+          ("provenance", Json.String l.l_provenance);
+          ("certified_rows", Json.Int l.l_certified_rows);
+          ("total_rows", Json.Int l.l_total_rows);
+          ("verified", Json.Bool l.l_verified);
+          ("verified_count", Json.Int l.l_verified_count);
+          ("completed", Json.Int l.l_completed);
+          ("failed", Json.Int l.l_failed);
+          ("fitness_mean", Json.Number l.l_fitness_mean);
+        ])
+  in
+  Json.to_string
+    (Json.Object
+       [
+         ( "campaign",
+           Json.Object
+             [
+               ("seed", Json.Int spec.Grid.seed);
+               ("total_time", Json.Number spec.Grid.total_time);
+               ("hold_time", Json.Number spec.Grid.hold_time);
+             ] );
+         ( "totals",
+           Json.Object
+             [
+               ("jobs", Json.Int (List.length ls));
+               ("done", count (fun l -> l.l_done));
+               ("missing", count (fun l -> not l.l_done));
+               ("verified", count (fun l -> l.l_verified));
+             ] );
+         ("jobs", Json.Array (List.map line ls));
+       ])
 
 let pp_report ppf (t, (spec : Grid.spec)) =
   let ls = lines t spec in

@@ -88,7 +88,6 @@ val completed : t -> string list
     acceptance contract. *)
 
 type job_line = {
-  l_id : string;
   l_job : Grid.job;
   l_done : bool;
   l_verified : bool;

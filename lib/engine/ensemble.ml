@@ -277,69 +277,67 @@ let pp ppf t =
     t.failures;
   Format.fprintf ppf "@]"
 
-let to_json t =
-  let open Report.Json in
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  let field ?(last = false) k v =
-    add (string k);
-    add ":";
-    add v;
-    if not last then add ","
-  in
-  let array_of to_item items =
-    "[" ^ String.concat "," (List.map to_item items) ^ "]"
-  in
+let json t =
+  let open Glc_json in
+  let ints xs = Array (List.map (fun i -> Int i) xs) in
   let summary (s : Stats.summary) =
-    Printf.sprintf "{\"n\":%d,\"mean\":%s,\"sd\":%s,\"ci95\":%s,\"min\":%s,\"max\":%s}"
-      s.Stats.n (float s.Stats.mean) (float s.Stats.sd) (float s.Stats.ci95)
-      (float s.Stats.min) (float s.Stats.max)
+    Object
+      [
+        ("n", Int s.Stats.n);
+        ("mean", Number s.Stats.mean);
+        ("sd", Number s.Stats.sd);
+        ("ci95", Number s.Stats.ci95);
+        ("min", Number s.Stats.min);
+        ("max", Number s.Stats.max);
+      ]
   in
-  let combination row =
-    string
-      (Format.asprintf "%a" (Report.pp_combination ~arity:t.arity) row)
+  let case c =
+    Object
+      [
+        ("row", Int c.cs_row);
+        ( "combination",
+          String
+            (Format.asprintf "%a" (Report.pp_combination ~arity:t.arity)
+               c.cs_row) );
+        ("minterm_votes", Int c.cs_minterm_votes);
+        ("consensus", Bool c.cs_consensus);
+        ("agreement", Number c.cs_agreement);
+        ("flaky", Bool c.cs_flaky);
+        ("fov", summary c.cs_fov);
+      ]
   in
-  add "{";
-  field "circuit" (string t.name);
-  field "arity" (string_of_int t.arity);
-  field "seed" (string_of_int t.seed);
-  field "requested" (string_of_int t.requested);
-  field "completed" (string_of_int (Array.length t.replicates));
-  field "failed" (string_of_int (Array.length t.failures));
-  field "expected_code" (string_of_int (Truth_table.to_code t.expected));
-  field "consensus_code" (string_of_int (Truth_table.to_code t.consensus));
-  field "consensus_verified" (bool t.consensus_verified);
-  field "verified_count" (string_of_int t.verified_count);
-  field "fitness" (summary t.fitness);
-  field "flaky_rows"
-    (array_of string_of_int t.flaky);
-  field "cases"
-    (array_of
-       (fun c ->
-         Printf.sprintf
-           "{\"row\":%d,\"combination\":%s,\"minterm_votes\":%d,\"consensus\":%s,\"agreement\":%s,\"flaky\":%s,\"fov\":%s}"
-           c.cs_row (combination c.cs_row) c.cs_minterm_votes
-           (bool c.cs_consensus)
-           (float c.cs_agreement)
-           (bool c.cs_flaky)
-           (summary c.cs_fov))
-       (Array.to_list t.cases));
-  field "replicates"
-    (array_of
-       (fun r ->
-         Printf.sprintf
-           "{\"index\":%d,\"fitness\":%s,\"verified\":%s,\"extracted_code\":%d,\"minterms\":%s}"
-           r.rep_index
-           (float r.rep_result.Analyzer.fitness)
-           (bool r.rep_verify.Verify.verified)
-           (Truth_table.to_code r.rep_verify.Verify.extracted)
-           (array_of string_of_int r.rep_result.Analyzer.minterms))
-       (Array.to_list t.replicates));
-  field ~last:true "failures"
-    (array_of
-       (fun f ->
-         Printf.sprintf "{\"index\":%d,\"error\":%s}" f.fail_index
-           (string f.fail_error))
-       (Array.to_list t.failures));
-  add "}";
-  Buffer.contents buf
+  let replicate r =
+    Object
+      [
+        ("index", Int r.rep_index);
+        ("fitness", Number r.rep_result.Analyzer.fitness);
+        ("verified", Bool r.rep_verify.Verify.verified);
+        ( "extracted_code",
+          Int (Truth_table.to_code r.rep_verify.Verify.extracted) );
+        ("minterms", ints r.rep_result.Analyzer.minterms);
+      ]
+  in
+  let failure f =
+    Object [ ("index", Int f.fail_index); ("error", String f.fail_error) ]
+  in
+  let items f xs = Array (List.map f (Array.to_list xs)) in
+  Object
+    [
+      ("circuit", String t.name);
+      ("arity", Int t.arity);
+      ("seed", Int t.seed);
+      ("requested", Int t.requested);
+      ("completed", Int (Array.length t.replicates));
+      ("failed", Int (Array.length t.failures));
+      ("expected_code", Int (Truth_table.to_code t.expected));
+      ("consensus_code", Int (Truth_table.to_code t.consensus));
+      ("consensus_verified", Bool t.consensus_verified);
+      ("verified_count", Int t.verified_count);
+      ("fitness", summary t.fitness);
+      ("flaky_rows", ints t.flaky);
+      ("cases", items case t.cases);
+      ("replicates", items replicate t.replicates);
+      ("failures", items failure t.failures);
+    ]
+
+let to_json t = Glc_json.to_string (json t)

@@ -133,7 +133,11 @@ val run :
 val pp : Format.formatter -> t -> unit
 (** Human-readable report in the style of {!Glc_core.Report}. *)
 
+val json : t -> Glc_json.value
+(** Machine-readable report as a JSON tree, for embedding in a larger
+    document (the campaign's stored job documents). *)
+
 val to_json : t -> string
-(** Machine-readable report. Deterministic: equal ensembles render to
+(** {!json}, printed. Deterministic: equal ensembles render to
     identical bytes, whatever worker count produced them. Contains no
     wall-clock or worker-count fields for exactly that reason. *)

@@ -8,7 +8,7 @@
     message that repeats the subject's id, so the text stands alone.
 
     Diagnostics are plain data — rendering (text via {!pp}, JSON via
-    {!to_json}) is separate from detection, and the aggregate
+    {!json}) is separate from detection, and the aggregate
     {!exit_code} implements the CLI contract: 0 clean (infos allowed),
     1 warnings, 2 errors. *)
 
@@ -61,15 +61,7 @@ val exit_code : t list -> int
 val pp : Format.formatter -> t -> unit
 (** One line: [error GLC002 \[species GFP\]: message]. *)
 
-val json_string : string -> string
-(** A quoted, escaped JSON string literal — the same conventions as the
-    rest of the toolchain's exports, shared so {!Lint.report_json}
-    composes with {!to_json}. *)
-
-val to_json : t -> string
+val json : t -> Glc_json.value
 (** One diagnostic as a JSON object with fields [code], [severity],
-    [subject] ([{"kind": ..., "id": ...}]) and [message]. Deterministic:
-    fields in that order, strings escaped. *)
-
-val list_to_json : t list -> string
-(** A JSON array of {!to_json} objects, in the given order. *)
+    [subject] ([{"kind": ..., "id": ...}]) and [message], in that
+    order. *)

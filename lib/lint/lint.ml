@@ -629,16 +629,22 @@ let all_diagnostics frs = List.concat_map (fun fr -> fr.fr_diagnostics) frs
 let report_exit_code frs = D.exit_code (all_diagnostics frs)
 
 let report_json frs =
-  let file_json fr =
-    Printf.sprintf
-      "{\"file\":%s,\"errors\":%d,\"warnings\":%d,\"diagnostics\":%s}"
-      (D.json_string fr.fr_path)
-      (D.errors fr.fr_diagnostics)
-      (D.warnings fr.fr_diagnostics)
-      (D.list_to_json fr.fr_diagnostics)
+  let open Glc_json in
+  let counts ds =
+    [ ("errors", Int (D.errors ds)); ("warnings", Int (D.warnings ds)) ]
+  in
+  let file fr =
+    Object
+      ((("file", String fr.fr_path) :: counts fr.fr_diagnostics)
+      @ [ ("diagnostics", Array (List.map D.json fr.fr_diagnostics)) ])
   in
   let all = all_diagnostics frs in
-  Printf.sprintf
-    "{\"files\":[%s],\"summary\":{\"files\":%d,\"errors\":%d,\"warnings\":%d,\"exit\":%d}}"
-    (String.concat "," (List.map file_json frs))
-    (List.length frs) (D.errors all) (D.warnings all) (D.exit_code all)
+  to_string
+    (Object
+       [
+         ("files", Array (List.map file frs));
+         ( "summary",
+           Object
+             ((("files", Int (List.length frs)) :: counts all)
+             @ [ ("exit", Int (D.exit_code all)) ]) );
+       ])

@@ -150,5 +150,4 @@ val report_json : file_report list -> string
 (** Machine-readable report:
     [{"files":[{"file":..,"errors":..,"warnings":..,"diagnostics":
     [..]},..],"summary":{"files":..,"errors":..,"warnings":..,
-    "exit":..}}]. Deterministic for a given input list; parses with
-    the project's own JSON reader, [Glc_core.Report.Json] (tested). *)
+    "exit":..}}]. Deterministic for a given input list. *)

@@ -1,8 +1,7 @@
 (* Metrics registry with a no-op default sink and deterministic JSON
-   export. glc_obs must stay dependency-free (unix only), so the JSON
-   writer below mirrors Glc_core.Report.Json rather than reusing it:
-   same escaping, same shortest-round-trip float printing, so exports
-   from the two layers agree byte-for-byte on equal values. *)
+   export through the shared codec. *)
+
+module Json = Glc_json
 
 let span_capacity = 4096
 
@@ -224,40 +223,6 @@ let span t name f =
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ escape s ^ "\""
-
-let json_float x =
-  if not (Float.is_finite x) then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else begin
-    let s15 = Printf.sprintf "%.15g" x in
-    if float_of_string s15 = x then s15 else Printf.sprintf "%.17g" x
-  end
-
-let json_obj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields)
-  ^ "}"
-
-let json_arr items = "[" ^ String.concat "," items ^ "]"
-
 (* Sorted snapshot of instruments of one kind, taken under the mutex so
    export is consistent even with concurrent writers. *)
 let sorted_fields t project render =
@@ -273,42 +238,41 @@ let deterministic_fields t =
   let counters =
     sorted_fields t
       (function I_counter c -> Some c | _ -> None)
-      (fun c -> string_of_int (Counter.value c))
+      (fun c -> Json.Int (Counter.value c))
   in
   let gauges =
     sorted_fields t
       (function I_gauge g -> Some g | _ -> None)
-      (fun g -> json_float (Gauge.value g))
+      (fun g -> Json.Number (Gauge.value g))
   in
   Mutex.unlock t.mutex;
-  [ ("counters", json_obj counters); ("gauges", json_obj gauges) ]
+  [ ("counters", Json.Object counters); ("gauges", Json.Object gauges) ]
 
-let deterministic_json t = json_obj (deterministic_fields t)
+let deterministic_json t =
+  Json.to_string (Json.Object (deterministic_fields t))
 
 let histogram_json (h : Histogram.t) =
+  let array f xs = Json.Array (Array.to_list (Array.map f xs)) in
   Mutex.lock h.Histogram.h_mutex;
   let fields =
     [
-      ( "buckets",
-        json_arr (Array.to_list (Array.map json_float h.Histogram.h_bounds)) );
-      ( "counts",
-        json_arr (Array.to_list (Array.map string_of_int h.Histogram.h_counts))
-      );
-      ("count", string_of_int h.Histogram.h_count);
-      ("max", json_float h.Histogram.h_max);
-      ("min", json_float h.Histogram.h_min);
-      ("sum", json_float h.Histogram.h_sum);
+      ("buckets", array (fun b -> Json.Number b) h.Histogram.h_bounds);
+      ("counts", array (fun c -> Json.Int c) h.Histogram.h_counts);
+      ("count", Json.Int h.Histogram.h_count);
+      ("max", Json.Number h.Histogram.h_max);
+      ("min", Json.Number h.Histogram.h_min);
+      ("sum", Json.Number h.Histogram.h_sum);
     ]
   in
   Mutex.unlock h.Histogram.h_mutex;
-  json_obj fields
+  Json.Object fields
 
 let span_json sp =
-  json_obj
+  Json.Object
     [
-      ("dur_s", json_float sp.sp_dur);
-      ("name", json_string sp.sp_name);
-      ("start_s", json_float sp.sp_start);
+      ("dur_s", Json.Number sp.sp_dur);
+      ("name", Json.String sp.sp_name);
+      ("start_s", Json.Number sp.sp_start);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -328,7 +292,7 @@ let text_float x =
   if Float.is_nan x then "NaN"
   else if x = Float.infinity then "+Inf"
   else if x = Float.neg_infinity then "-Inf"
-  else json_float x
+  else Json.float x
 
 let to_text t =
   let buf = Buffer.create 1024 in
@@ -382,18 +346,19 @@ let to_json t =
   let spans = Queue.fold (fun acc sp -> span_json sp :: acc) [] t.spans in
   let drops = t.span_drops in
   Mutex.unlock t.mutex;
-  json_obj
-    [
-      ("deterministic", json_obj det);
-      ( "timings",
-        json_obj
-          [
-            ("histograms", json_obj histograms);
-            ( "spans",
-              json_obj
-                [
-                  ("dropped", string_of_int drops);
-                  ("events", json_arr (List.rev spans));
-                ] );
-          ] );
-    ]
+  Json.to_string
+    (Json.Object
+       [
+         ("deterministic", Json.Object det);
+         ( "timings",
+           Json.Object
+             [
+               ("histograms", Json.Object histograms);
+               ( "spans",
+                 Json.Object
+                   [
+                     ("dropped", Json.Int drops);
+                     ("events", Json.Array (List.rev spans));
+                   ] );
+             ] );
+       ])

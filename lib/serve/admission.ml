@@ -5,7 +5,7 @@ module Runner = Glc_campaign.Runner
 module Lint = Glc_lint.Lint
 module Diagnostic = Glc_lint.Diagnostic
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type config = {
   seed : int;

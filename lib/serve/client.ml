@@ -1,5 +1,5 @@
 module W = Protocol_wire
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type t = { socket : string }
 
@@ -37,17 +37,20 @@ let get t target =
   request t { W.meth = W.GET; target; headers = []; body = "" }
 
 let submit ?threshold ?fov_ud ?input_high ?replicates ?priority t ~circuit =
-  let field name render v =
-    Option.map (fun x -> Printf.sprintf ",\"%s\":%s" name (render x)) v
-    |> Option.value ~default:""
-  in
+  let number name = Option.map (fun x -> (name, Json.Number x)) in
+  let int name = Option.map (fun i -> (name, Json.Int i)) in
   let body =
-    Printf.sprintf "{\"circuit\":%s%s%s%s%s%s}" (Json.string circuit)
-      (field "threshold" Json.float threshold)
-      (field "fov_ud" Json.float fov_ud)
-      (field "input_high" Json.float input_high)
-      (field "replicates" string_of_int replicates)
-      (field "priority" string_of_int priority)
+    Json.to_string
+      (Json.Object
+         (("circuit", Json.String circuit)
+         :: List.filter_map Fun.id
+              [
+                number "threshold" threshold;
+                number "fov_ud" fov_ud;
+                number "input_high" input_high;
+                int "replicates" replicates;
+                int "priority" priority;
+              ]))
   in
   request t
     {

@@ -1,5 +1,5 @@
 module Grid = Glc_campaign.Grid
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type phase =
   | Queued
@@ -70,35 +70,27 @@ let spec_for ~seed ~total_time ~hold_time (job : Grid.job) =
 
 (* ---- JSON ---- *)
 
-let job_fields (job : Grid.job) =
-  Printf.sprintf
-    "\"circuit\":%s,\"threshold\":%s,\"fov_ud\":%s,\"input_high\":%s,\"replicates\":%d"
-    (Json.string job.Grid.j_circuit)
-    (Json.float job.Grid.j_threshold)
-    (Json.float job.Grid.j_fov_ud)
-    (match job.Grid.j_input_high with
-    | None -> "null"
-    | Some h -> Json.float h)
-    job.Grid.j_replicates
+(* coordinates, priority and admission order: everything a submission
+   record persists, and the head of every status document *)
+let coordinates e =
+  Grid.job_fields e.job
+  @ [ ("priority", Json.Int e.priority); ("seq", Json.Int e.seq) ]
 
-let status_json ~now e =
+let status ~now e =
   let error =
-    match e.phase with
-    | Failed m -> Printf.sprintf ",\"error\":%s" (Json.string m)
-    | _ -> ""
+    match e.phase with Failed m -> [ ("error", Json.String m) ] | _ -> []
   in
-  Printf.sprintf
-    "{\"id\":%s,%s,\"priority\":%d,\"seq\":%d,\"status\":%s%s,\"from_cache\":%s,\"attempts\":%d,\"age_s\":%s}"
-    (Json.string e.id) (job_fields e.job) e.priority e.seq
-    (Json.string (phase_label e.phase))
-    error
-    (Json.bool e.from_cache)
-    e.attempts
-    (Json.float (Float.max 0. (now -. e.submitted_at)))
+  Json.Object
+    (coordinates e
+    @ (("status", Json.String (phase_label e.phase)) :: error)
+    @ [
+        ("from_cache", Json.Bool e.from_cache);
+        ("attempts", Json.Int e.attempts);
+        ("age_s", Json.Number (Float.max 0. (now -. e.submitted_at)));
+      ])
 
-let submission_json e =
-  Printf.sprintf "{\"id\":%s,%s,\"priority\":%d,\"seq\":%d}"
-    (Json.string e.id) (job_fields e.job) e.priority e.seq
+let status_json ~now e = Json.to_string (status ~now e)
+let submission_json e = Json.to_string (Json.Object (coordinates e))
 
 let submission_of_json text =
   match Json.parse text with

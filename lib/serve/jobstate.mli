@@ -64,11 +64,16 @@ val spec_for :
     {!Glc_campaign.Runner.run_job} yields the identical bytes a
     campaign over the same cell would store. *)
 
-val status_json : now:float -> entry -> string
+val status : now:float -> entry -> Glc_json.value
 (** The job's status document, e.g.
-    [{"id":…,"circuit":…,…,"status":"queued","priority":5,
-    "from_cache":false,"attempts":0,"age_s":1.5}]. The [error] field
-    appears only for failed jobs. *)
+    [{"id":…,"circuit":…,…,"replicates":16,"priority":5,"seq":3,
+    "status":"queued","from_cache":false,"attempts":0,"age_s":1.5}]
+    — the job's {!Glc_campaign.Grid.job_fields}, then the admission
+    and lifecycle fields. The [error] field (after [status]) appears
+    only for failed jobs. *)
+
+val status_json : now:float -> entry -> string
+(** {!status}, printed. *)
 
 val submission_json : entry -> string
 (** The persisted admission record ([<state>/submitted/<id>.json]) —

@@ -6,7 +6,7 @@ module Runner = Glc_campaign.Runner
 module Pool = Glc_engine.Pool
 module Cache = Glc_engine.Cache
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type config = {
   socket_path : string;
@@ -52,9 +52,14 @@ let ctx t = t.s_ctx
 let effective_config t = t.s_cfg
 
 let manifest_json cfg =
-  Printf.sprintf
-    "{\"serve\":1,\"seed\":%d,\"total_time\":%s,\"hold_time\":%s}" cfg.seed
-    (Json.float cfg.total_time) (Json.float cfg.hold_time)
+  Json.to_string
+    (Json.Object
+       [
+         ("serve", Json.Int 1);
+         ("seed", Json.Int cfg.seed);
+         ("total_time", Json.Number cfg.total_time);
+         ("hold_time", Json.Number cfg.hold_time);
+       ])
 
 (* An existing manifest wins over the flags: the stored results were
    computed under its seed and protocol, and resume-determinism
@@ -296,10 +301,7 @@ let connection t fd =
     match W.read_request reader with
     | Ok None -> ()
     | Error m ->
-        let resp =
-          W.response 400
-            (Printf.sprintf "{\"error\":%s}" (Json.string m))
-        in
+        let resp = W.response 400 (Session.error_body m) in
         write_all fd (W.render_response ~close:true resp)
     | Ok (Some req) ->
         let resp = Session.handle t.s_ctx req in

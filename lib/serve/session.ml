@@ -2,7 +2,7 @@ module W = Protocol_wire
 module Store = Glc_campaign.Store
 module Diagnostic = Glc_lint.Diagnostic
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type ctx = {
   adm : Admission.t;
@@ -29,11 +29,11 @@ let locked ctx f =
   Mutex.lock ctx.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock ctx.mutex) f
 
-let error_body message = Printf.sprintf "{\"error\":%s}" (Json.string message)
+let json_body fields = Json.to_string (Json.Object fields)
+let error_body message = json_body [ ("error", Json.String message) ]
 
 let submit_reply ~now ~dedup entry =
-  Printf.sprintf "{\"dedup\":%s,\"job\":%s}" (Json.bool dedup)
-    (Jobstate.status_json ~now entry)
+  json_body [ ("dedup", Json.Bool dedup); ("job", Jobstate.status ~now entry) ]
 
 (* ---- handlers (called under the ctx mutex) ---- *)
 
@@ -55,26 +55,31 @@ let post_job ctx body =
             W.response 200 (submit_reply ~now ~dedup:true entry)
         | Admission.Rejected_lint ds ->
             W.response 422
-              (Printf.sprintf "{\"error\":\"lint\",\"diagnostics\":%s}"
-                 (Diagnostic.list_to_json ds))
+              (json_body
+                 [
+                   ("error", Json.String "lint");
+                   ("diagnostics", Json.Array (List.map Diagnostic.json ds));
+                 ])
         | Admission.Rejected_busy retry_after ->
             W.response 429
               ~headers:[ ("Retry-After", string_of_int retry_after) ]
-              (Printf.sprintf
-                 "{\"error\":\"queue full\",\"retry_after_s\":%d}" retry_after)
+              (json_body
+                 [
+                   ("error", Json.String "queue full");
+                   ("retry_after_s", Json.Int retry_after);
+                 ])
         | Admission.Invalid m -> W.response 400 (error_body m))
 
 let list_jobs ctx =
   let now = ctx.clock () in
   let entries = Jobstate.entries ctx.adm.Admission.registry in
-  let jobs =
-    entries
-    |> List.map (Jobstate.status_json ~now)
-    |> String.concat ","
-  in
   W.response 200
-    (Printf.sprintf "{\"jobs\":[%s],\"queue_depth\":%d}" jobs
-       (Scheduler.length ctx.adm.Admission.scheduler))
+    (json_body
+       [
+         ("jobs", Json.Array (List.map (Jobstate.status ~now) entries));
+         ( "queue_depth",
+           Json.Int (Scheduler.length ctx.adm.Admission.scheduler) );
+       ])
 
 let job_status ctx id =
   match Jobstate.find ctx.adm.Admission.registry id with
@@ -100,15 +105,21 @@ let job_result ctx id =
                 (error_body "result record missing from the store"))
       | Jobstate.Failed m ->
           W.response 500
-            (Printf.sprintf "{\"error\":\"job failed\",\"detail\":%s}"
-               (Json.string m))
+            (json_body
+               [
+                 ("error", Json.String "job failed");
+                 ("detail", Json.String m);
+               ])
       | Jobstate.Cancelled ->
           W.response 409 (error_body "job was cancelled")
       | Jobstate.Queued | Jobstate.Running ->
           W.response 409
-            (Printf.sprintf
-               "{\"error\":\"job not done\",\"status\":%s}"
-               (Json.string (Jobstate.phase_label entry.Jobstate.phase))))
+            (json_body
+               [
+                 ("error", Json.String "job not done");
+                 ( "status",
+                   Json.String (Jobstate.phase_label entry.Jobstate.phase) );
+               ]))
 
 let cancel_job ctx id =
   match Jobstate.find ctx.adm.Admission.registry id with
@@ -144,14 +155,17 @@ let cancel_job ctx id =
 let health ctx =
   let reg = ctx.adm.Admission.registry in
   W.response 200
-    (Printf.sprintf
-       "{\"ok\":true,\"uptime_s\":%s,\"queued\":%d,\"running\":%d,\"done\":%d,\"failed\":%d,\"cancelled\":%d}"
-       (Json.float (Float.max 0. (ctx.clock () -. ctx.started_at)))
-       (Jobstate.count reg Jobstate.Queued)
-       (Jobstate.count reg Jobstate.Running)
-       (Jobstate.count reg Jobstate.Done)
-       (Jobstate.count reg (Jobstate.Failed ""))
-       (Jobstate.count reg Jobstate.Cancelled))
+    (json_body
+       [
+         ("ok", Json.Bool true);
+         ( "uptime_s",
+           Json.Number (Float.max 0. (ctx.clock () -. ctx.started_at)) );
+         ("queued", Json.Int (Jobstate.count reg Jobstate.Queued));
+         ("running", Json.Int (Jobstate.count reg Jobstate.Running));
+         ("done", Json.Int (Jobstate.count reg Jobstate.Done));
+         ("failed", Json.Int (Jobstate.count reg (Jobstate.Failed "")));
+         ("cancelled", Json.Int (Jobstate.count reg Jobstate.Cancelled));
+       ])
 
 let metrics_scrape ctx =
   W.response ~content_type:"text/plain; version=0.0.4" 200

@@ -43,6 +43,9 @@ type ctx = {
 val make_ctx : ?clock:(unit -> float) -> Admission.t -> ctx
 (** A fresh context; [clock] defaults to [Unix.gettimeofday]. *)
 
+val error_body : string -> string
+(** The [{"error": message}] body every failing reply carries. *)
+
 val handle : ctx -> Protocol_wire.request -> Protocol_wire.response
 (** Routes one request. Counts [serve.requests] and [serve.http_errors]
     (status ≥ 400) and observes wall time in [serve.request_seconds].

@@ -10,7 +10,7 @@ module Events = Glc_ssa.Events
 module Trace = Glc_ssa.Trace
 module Truth_table = Glc_logic.Truth_table
 module Metrics = Glc_obs.Metrics
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type config = {
   inputs : int;
@@ -183,36 +183,31 @@ let measure_delay ~protocol circuit =
       }
 
 let delay_doc ~name ~protocol d =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\"id\":";
-  Buffer.add_string b (Json.string (delay_id name));
-  Buffer.add_string b ",\"kind\":\"delay\",\"circuit\":";
-  Buffer.add_string b (Json.string name);
-  Buffer.add_string b ",\"threshold\":";
-  Buffer.add_string b (Json.float protocol.Protocol.threshold);
-  Buffer.add_string b ",\"settle\":";
-  Buffer.add_string b (Json.float protocol.Protocol.hold_time);
-  Buffer.add_string b ",\"timeout\":";
-  Buffer.add_string b (Json.float (2.5 *. protocol.Protocol.hold_time));
-  Buffer.add_string b ",\"transitions\":";
-  Buffer.add_string b (string_of_int d.d_transitions);
-  Buffer.add_string b ",\"measured\":";
-  Buffer.add_string b (string_of_int d.d_measured);
-  Buffer.add_string b ",\"worst\":";
-  (match d.d_worst with
-  | None -> Buffer.add_string b "null"
-  | Some w ->
-      Buffer.add_string b "{\"delay\":";
-      Buffer.add_string b (Json.float w);
-      Buffer.add_string b ",\"from_row\":";
-      Buffer.add_string b (string_of_int d.d_from);
-      Buffer.add_string b ",\"to_row\":";
-      Buffer.add_string b (string_of_int d.d_to);
-      Buffer.add_string b ",\"rising\":";
-      Buffer.add_string b (Json.bool d.d_rising);
-      Buffer.add_string b "}");
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let worst =
+    match d.d_worst with
+    | None -> Json.Null
+    | Some w ->
+        Json.Object
+          [
+            ("delay", Json.Number w);
+            ("from_row", Json.Int d.d_from);
+            ("to_row", Json.Int d.d_to);
+            ("rising", Json.Bool d.d_rising);
+          ]
+  in
+  Json.to_string
+    (Json.Object
+       [
+         ("id", Json.String (delay_id name));
+         ("kind", Json.String "delay");
+         ("circuit", Json.String name);
+         ("threshold", Json.Number protocol.Protocol.threshold);
+         ("settle", Json.Number protocol.Protocol.hold_time);
+         ("timeout", Json.Number (2.5 *. protocol.Protocol.hold_time));
+         ("transitions", Json.Int d.d_transitions);
+         ("measured", Json.Int d.d_measured);
+         ("worst", worst);
+       ])
 
 let delay_of_doc doc =
   match Json.parse doc with
@@ -431,153 +426,102 @@ let space_json store spec =
     List.map (fun (rep, ms) -> (rep, pareto ms)) classes
   in
   let in_frontier frontier e = List.memq e frontier in
-  let b = Buffer.create (4096 + (256 * planned)) in
-  let add = Buffer.add_string b in
-  let name_list es' =
-    add "[";
-    List.iteri
-      (fun i e ->
-        if i > 0 then add ",";
-        add (Json.string e.f_info.Fn.i_name))
-      es';
-    add "]"
+  let open Json in
+  let count xs = Int (List.length xs) in
+  let names es' = Array (List.map (fun e -> String e.f_info.Fn.i_name) es') in
+  let class_json (rep, ms) =
+    let rep_info = Fn.describe ~arity rep in
+    let ms_done = List.filter (fun e -> e.f_line.Store.l_done) ms in
+    let ms_verified =
+      List.filter (fun e -> e.f_line.Store.l_verified) ms_done
+    in
+    let gates = List.map (fun e -> e.f_info.Fn.i_gates) ms in
+    Object
+      [
+        ("rep", String rep_info.Fn.i_name);
+        ("orbit", Int (orbit_size ~arity rep));
+        ("planned", count ms);
+        ("done", count ms_done);
+        ("verified", count ms_verified);
+        ("unate", Bool rep_info.Fn.i_unate);
+        ("canalizing", Bool rep_info.Fn.i_canalizing);
+        ("nested_canalizing", Bool rep_info.Fn.i_nested_canalizing);
+        ("bio", Bool (rep_info.Fn.i_unate || rep_info.Fn.i_canalizing));
+        ("min_gates", Int (List.fold_left min max_int gates));
+        ("max_gates", Int (List.fold_left max 0 gates));
+        ("frontier", names (List.assoc rep class_frontiers));
+      ]
   in
-  add "{\"space\":{\"version\":1,\"inputs\":";
-  add (string_of_int arity);
-  add ",\"functions\":";
-  add (string_of_int planned);
-  add ",\"full_space\":";
-  add (string_of_int full_space);
-  add ",\"sampled\":";
-  add (Json.bool (planned < full_space));
-  add ",\"seed\":";
-  add (string_of_int spec.Grid.seed);
-  add ",\"threshold\":";
-  add
-    (Json.float
-       (match spec.Grid.grid.Grid.thresholds with
-       | t :: _ -> t
-       | [] -> Protocol.default.Protocol.threshold));
-  add ",\"total_time\":";
-  add (Json.float spec.Grid.total_time);
-  add ",\"hold_time\":";
-  add (Json.float spec.Grid.hold_time);
-  add ",\"replicates\":";
-  add
-    (string_of_int
-       (match spec.Grid.grid.Grid.replicate_counts with
-       | r :: _ -> r
-       | [] -> 16));
-  add ",\"done\":";
-  add (string_of_int (List.length done_));
-  add ",\"verified\":";
-  add (string_of_int (List.length verified));
-  add ",\"certified\":";
-  add (string_of_int (by_provenance "certified"));
-  add ",\"simulated\":";
-  add (string_of_int (by_provenance "simulated"));
-  add ",\"classes\":";
-  add (string_of_int (List.length classes));
-  add "},\"classes\":[";
-  List.iteri
-    (fun i (rep, ms) ->
-      if i > 0 then add ",";
-      let rep_info = Fn.describe ~arity rep in
-      let ms_done = List.filter (fun e -> e.f_line.Store.l_done) ms in
-      let ms_verified = List.filter (fun e -> e.f_line.Store.l_verified) ms_done in
-      let gates = List.map (fun e -> e.f_info.Fn.i_gates) ms in
-      let frontier = List.assoc rep class_frontiers in
-      add "{\"rep\":";
-      add (Json.string rep_info.Fn.i_name);
-      add ",\"orbit\":";
-      add (string_of_int (orbit_size ~arity rep));
-      add ",\"planned\":";
-      add (string_of_int (List.length ms));
-      add ",\"done\":";
-      add (string_of_int (List.length ms_done));
-      add ",\"verified\":";
-      add (string_of_int (List.length ms_verified));
-      add ",\"unate\":";
-      add (Json.bool rep_info.Fn.i_unate);
-      add ",\"canalizing\":";
-      add (Json.bool rep_info.Fn.i_canalizing);
-      add ",\"nested_canalizing\":";
-      add (Json.bool rep_info.Fn.i_nested_canalizing);
-      add ",\"bio\":";
-      add (Json.bool (rep_info.Fn.i_unate || rep_info.Fn.i_canalizing));
-      add ",\"min_gates\":";
-      add (string_of_int (List.fold_left min max_int gates));
-      add ",\"max_gates\":";
-      add (string_of_int (List.fold_left max 0 gates));
-      add ",\"frontier\":";
-      name_list frontier;
-      add "}")
-    classes;
-  add "],\"functions\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then add ",";
-      let info = e.f_info and l = e.f_line in
-      let rep_name = Fn.name_of_code ~arity info.Fn.i_class in
-      add "{\"name\":";
-      add (Json.string info.Fn.i_name);
-      add ",\"code\":";
-      add (string_of_int info.Fn.i_code);
-      add ",\"class\":";
-      add (Json.string rep_name);
-      add ",\"gates\":";
-      add (string_of_int info.Fn.i_gates);
-      add ",\"depth\":";
-      add (string_of_int info.Fn.i_depth);
-      add ",\"unate\":";
-      add (Json.bool info.Fn.i_unate);
-      add ",\"canalizing\":";
-      add (Json.bool info.Fn.i_canalizing);
-      add ",\"nested_canalizing\":";
-      add (Json.bool info.Fn.i_nested_canalizing);
-      add ",\"done\":";
-      add (Json.bool l.Store.l_done);
-      add ",\"verified\":";
-      add (Json.bool l.Store.l_verified);
-      add ",\"provenance\":";
-      add (Json.string l.Store.l_provenance);
-      add ",\"pfobe\":";
-      add (if l.Store.l_done then Json.float l.Store.l_fitness_mean else "null");
-      add ",\"certified_rows\":";
-      add (string_of_int l.Store.l_certified_rows);
-      add ",\"total_rows\":";
-      add (string_of_int l.Store.l_total_rows);
-      add ",\"delay\":";
-      (match e.f_delay with
-      | None -> add "null"
-      | Some d ->
-          add "{\"worst\":";
-          (match d.d_worst with
-          | None -> add "null"
-          | Some w -> add (Json.float w));
-          add ",\"transitions\":";
-          add (string_of_int d.d_transitions);
-          add ",\"measured\":";
-          add (string_of_int d.d_measured);
-          add ",\"from_row\":";
-          add (string_of_int d.d_from);
-          add ",\"to_row\":";
-          add (string_of_int d.d_to);
-          add ",\"rising\":";
-          add (Json.bool d.d_rising);
-          add "}");
-      add ",\"class_frontier\":";
-      add
-        (Json.bool
-           (in_frontier (List.assoc info.Fn.i_class class_frontiers) e));
-      add ",\"global_frontier\":";
-      add (Json.bool (in_frontier global_frontier e));
-      add "}")
-    es;
-  add "],\"frontier\":";
-  name_list global_frontier;
-  add "}";
-  Buffer.contents b
+  let delay_json d =
+    Object
+      [
+        ("worst", Option.fold ~none:Null ~some:(fun w -> Number w) d.d_worst);
+        ("transitions", Int d.d_transitions);
+        ("measured", Int d.d_measured);
+        ("from_row", Int d.d_from);
+        ("to_row", Int d.d_to);
+        ("rising", Bool d.d_rising);
+      ]
+  in
+  let function_json e =
+    let info = e.f_info and l = e.f_line in
+    Object
+      [
+        ("name", String info.Fn.i_name);
+        ("code", Int info.Fn.i_code);
+        ("class", String (Fn.name_of_code ~arity info.Fn.i_class));
+        ("gates", Int info.Fn.i_gates);
+        ("depth", Int info.Fn.i_depth);
+        ("unate", Bool info.Fn.i_unate);
+        ("canalizing", Bool info.Fn.i_canalizing);
+        ("nested_canalizing", Bool info.Fn.i_nested_canalizing);
+        ("done", Bool l.Store.l_done);
+        ("verified", Bool l.Store.l_verified);
+        ("provenance", String l.Store.l_provenance);
+        ( "pfobe",
+          if l.Store.l_done then Number l.Store.l_fitness_mean else Null );
+        ("certified_rows", Int l.Store.l_certified_rows);
+        ("total_rows", Int l.Store.l_total_rows);
+        ("delay", Option.fold ~none:Null ~some:delay_json e.f_delay);
+        ( "class_frontier",
+          Bool (in_frontier (List.assoc info.Fn.i_class class_frontiers) e) );
+        ("global_frontier", Bool (in_frontier global_frontier e));
+      ]
+  in
+  to_string
+    (Object
+       [
+         ( "space",
+           Object
+             [
+               ("version", Int 1);
+               ("inputs", Int arity);
+               ("functions", Int planned);
+               ("full_space", Int full_space);
+               ("sampled", Bool (planned < full_space));
+               ("seed", Int spec.Grid.seed);
+               ( "threshold",
+                 Number
+                   (match spec.Grid.grid.Grid.thresholds with
+                   | t :: _ -> t
+                   | [] -> Protocol.default.Protocol.threshold) );
+               ("total_time", Number spec.Grid.total_time);
+               ("hold_time", Number spec.Grid.hold_time);
+               ( "replicates",
+                 Int
+                   (match spec.Grid.grid.Grid.replicate_counts with
+                   | r :: _ -> r
+                   | [] -> 16) );
+               ("done", count done_);
+               ("verified", count verified);
+               ("certified", Int (by_provenance "certified"));
+               ("simulated", Int (by_provenance "simulated"));
+               ("classes", count classes);
+             ] );
+         ("classes", Array (List.map class_json classes));
+         ("functions", Array (List.map function_json es));
+         ("frontier", names global_frontier);
+       ])
 
 (* {2 Markdown rendering} *)
 

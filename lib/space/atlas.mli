@@ -85,6 +85,11 @@ val measure_delay :
 val delay_id : string -> string
 (** [delay-<circuit name>]. *)
 
+val delay_doc :
+  name:string -> protocol:Glc_dvasim.Protocol.t -> delay -> string
+(** The stored [delay-<name>] document: the measurement plus the
+    protocol's threshold, settle time and timeout. *)
+
 val delay_coverage : Store.t -> Grid.spec -> int * int
 (** [(measured, total)] delay docs over the spec's circuits. *)
 

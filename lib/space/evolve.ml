@@ -7,7 +7,7 @@ module Certificate = Glc_symbolic.Certificate
 module Store = Glc_campaign.Store
 module Metrics = Glc_obs.Metrics
 module Rng = Glc_ssa.Rng
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 type config = {
   v_target : int;
@@ -214,10 +214,19 @@ let step cfg gen prev =
 let target_name cfg = Cello.name_of_code ~arity:cfg.v_arity cfg.v_target
 
 let manifest_json cfg =
-  Printf.sprintf
-    "{\"version\":1,\"kind\":\"space-evolve\",\"target\":%d,\"inputs\":%d,\"seed\":%d,\"pop\":%d,\"genes\":%d,\"elite\":%d,\"max_gens\":%d}"
-    cfg.v_target cfg.v_arity cfg.v_seed cfg.v_pop cfg.v_genes cfg.v_elite
-    cfg.v_max_gens
+  Json.to_string
+    (Json.Object
+       [
+         ("version", Json.Int 1);
+         ("kind", Json.String "space-evolve");
+         ("target", Json.Int cfg.v_target);
+         ("inputs", Json.Int cfg.v_arity);
+         ("seed", Json.Int cfg.v_seed);
+         ("pop", Json.Int cfg.v_pop);
+         ("genes", Json.Int cfg.v_genes);
+         ("elite", Json.Int cfg.v_elite);
+         ("max_gens", Json.Int cfg.v_max_gens);
+       ])
 
 let config_of_manifest text =
   match Json.parse text with
@@ -245,30 +254,20 @@ let config_of_manifest text =
 let gen_id g = Printf.sprintf "gen-%06d" g
 
 let generation_doc cfg gen pop =
-  let ranked = rank cfg pop in
-  let (bf, bp, bg), benc, _ = List.hd ranked in
-  let b = Buffer.create (64 * cfg.v_pop) in
-  let add = Buffer.add_string b in
-  add "{\"id\":";
-  add (Json.string (gen_id gen));
-  add ",\"kind\":\"generation\",\"generation\":";
-  add (string_of_int gen);
-  add ",\"best\":";
-  add (Json.string benc);
-  add ",\"best_fitness\":";
-  add (Json.float bf);
-  add ",\"best_pfobe\":";
-  add (Json.float bp);
-  add ",\"best_gates\":";
-  add (string_of_int bg);
-  add ",\"population\":[";
-  List.iteri
-    (fun i g ->
-      if i > 0 then add ",";
-      add (Json.string (encode g)))
-    pop;
-  add "]}";
-  Buffer.contents b
+  let (bf, bp, bg), benc, _ = List.hd (rank cfg pop) in
+  Json.to_string
+    (Json.Object
+       [
+         ("id", Json.String (gen_id gen));
+         ("kind", Json.String "generation");
+         ("generation", Json.Int gen);
+         ("best", Json.String benc);
+         ("best_fitness", Json.Number bf);
+         ("best_pfobe", Json.Number bp);
+         ("best_gates", Json.Int bg);
+         ( "population",
+           Json.Array (List.map (fun g -> Json.String (encode g)) pop) );
+       ])
 
 type outcome = {
   o_reached : bool;
@@ -284,14 +283,21 @@ type outcome = {
 type status = Finished of outcome | Interrupted of int
 
 let result_doc cfg o =
-  Printf.sprintf
-    "{\"id\":\"result\",\"kind\":\"result\",\"target\":%s,\"reached\":%s,\"generation\":%d,\"genome\":%s,\"fitness\":%s,\"pfobe\":%s,\"gates\":%d,\"verified\":%s,\"provenance\":%s}"
-    (Json.string (target_name cfg))
-    (Json.bool o.o_reached) o.o_generation
-    (Json.string o.o_genome)
-    (Json.float o.o_fitness) (Json.float o.o_pfobe) o.o_gates
-    (Json.bool o.o_verified)
-    (Json.string o.o_provenance)
+  Json.to_string
+    (Json.Object
+       [
+         ("id", Json.String "result");
+         ("kind", Json.String "result");
+         ("target", Json.String (target_name cfg));
+         ("reached", Json.Bool o.o_reached);
+         ("generation", Json.Int o.o_generation);
+         ("genome", Json.String o.o_genome);
+         ("fitness", Json.Number o.o_fitness);
+         ("pfobe", Json.Number o.o_pfobe);
+         ("gates", Json.Int o.o_gates);
+         ("verified", Json.Bool o.o_verified);
+         ("provenance", Json.String o.o_provenance);
+       ])
 
 let outcome_of_doc doc =
   match Json.parse doc with

@@ -140,70 +140,55 @@ let verdict_string = function
   | Proved_low -> "proved_low"
   | Undecided -> "undecided"
 
-(* local JSON float: the same shortest-round-trip printer the rest of
-   the code base uses (glc_symbolic sits below glc_core, so the helper
-   cannot be shared), with infinities kept as strings rather than
-   collapsed to null — an undecided row's upper bound is typically
-   infinite and that is information *)
-let json_float x =
-  if Float.is_nan x then "null"
-  else if x = Float.infinity then "\"inf\""
-  else if x = Float.neg_infinity then "\"-inf\""
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else begin
-    let s15 = Printf.sprintf "%.15g" x in
-    if float_of_string s15 = x then s15 else Printf.sprintf "%.17g" x
-  end
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let combination ~arity row =
   String.init arity (fun j ->
       if (row lsr (arity - 1 - j)) land 1 = 1 then '1' else '0')
 
-let to_json t =
-  let row_json r =
-    Printf.sprintf
-      "{\"row\":%d,\"combination\":%s,\"lo\":%s,\"hi\":%s,\"verdict\":%s,\"expected\":%b,\"agrees\":%s,\"iterations\":%d,\"converged\":%b}"
-      r.cr_row
-      (json_string (combination ~arity:t.c_arity r.cr_row))
-      (json_float (Interval.lo r.cr_bounds))
-      (json_float (Interval.hi r.cr_bounds))
-      (json_string (verdict_string r.cr_verdict))
-      r.cr_expected
-      (match r.cr_verdict with
-      | Undecided -> "null"
-      | Proved_high -> string_of_bool r.cr_expected
-      | Proved_low -> string_of_bool (not r.cr_expected))
-      r.cr_iterations r.cr_converged
+(* infinite bounds stay explicit strings rather than collapsing to
+   null — an undecided row's upper bound is typically infinite and that
+   is information *)
+let bound_json x =
+  if x = Float.infinity then Glc_json.String "inf"
+  else if x = Float.neg_infinity then Glc_json.String "-inf"
+  else Glc_json.Number x
+
+let agrees r =
+  match r.cr_verdict with
+  | Undecided -> None
+  | Proved_high -> Some r.cr_expected
+  | Proved_low -> Some (not r.cr_expected)
+
+let json t =
+  let open Glc_json in
+  let bool_or_null = Option.fold ~none:Null ~some:(fun b -> Bool b) in
+  let row r =
+    Object
+      [
+        ("row", Int r.cr_row);
+        ("combination", String (combination ~arity:t.c_arity r.cr_row));
+        ("lo", bound_json (Interval.lo r.cr_bounds));
+        ("hi", bound_json (Interval.hi r.cr_bounds));
+        ("verdict", String (verdict_string r.cr_verdict));
+        ("expected", Bool r.cr_expected);
+        ("agrees", bool_or_null (agrees r));
+        ("iterations", Int r.cr_iterations);
+        ("converged", Bool r.cr_converged);
+      ]
   in
-  Printf.sprintf
-    "{\"circuit\":%s,\"output\":%s,\"arity\":%d,\"threshold\":%s,\"margin\":%s,\"rows\":[%s],\"proved\":%d,\"undecided\":%d,\"verified\":%s}"
-    (json_string t.c_circuit) (json_string t.c_output) t.c_arity
-    (json_float t.c_threshold) (json_float t.c_margin)
-    (String.concat "," (Array.to_list (Array.map row_json t.c_rows)))
-    (decided t)
-    (rows t - decided t)
-    (match verified t with
-    | Some b -> string_of_bool b
-    | None -> "null")
+  Object
+    [
+      ("circuit", String t.c_circuit);
+      ("output", String t.c_output);
+      ("arity", Int t.c_arity);
+      ("threshold", Number t.c_threshold);
+      ("margin", Number t.c_margin);
+      ("rows", Array (Array.to_list (Array.map row t.c_rows)));
+      ("proved", Int (decided t));
+      ("undecided", Int (rows t - decided t));
+      ("verified", bool_or_null (verified t));
+    ]
+
+let to_json t = Glc_json.to_string (json t)
 
 let pp ppf t =
   Format.fprintf ppf
@@ -217,10 +202,7 @@ let pp ppf t =
         (combination ~arity:t.c_arity r.cr_row)
         (Interval.to_string r.cr_bounds)
         (verdict_string r.cr_verdict) r.cr_expected
-        (match r.cr_verdict with
-        | Undecided -> "-"
-        | Proved_high -> string_of_bool r.cr_expected
-        | Proved_low -> string_of_bool (not r.cr_expected)))
+        (Option.fold ~none:"-" ~some:string_of_bool (agrees r)))
     t.c_rows;
   Format.fprintf ppf "%d/%d row(s) proved%s@]" (decided t) (rows t)
     (match verified t with

@@ -106,7 +106,11 @@ val verdict_string : verdict -> string
 (** ["proved_high"], ["proved_low"], ["undecided"]. *)
 
 val pp : Format.formatter -> t -> unit
+
+val json : t -> Glc_json.value
+(** The certificate as a JSON tree (rows in order; infinite bounds are
+    the strings ["inf"]/["-inf"], a NaN bound is [null]), embedded
+    as-is in campaign job documents. *)
+
 val to_json : t -> string
-(** Deterministic JSON (row order, shortest round-tripping floats;
-    infinite bounds render as ["inf"]/["-inf"]), stable enough to diff
-    and to embed in campaign job documents. *)
+(** {!json}, printed: deterministic bytes, stable enough to diff. *)

@@ -53,9 +53,19 @@ let test_json_parse_values () =
   checks "string escapes" "a\"b\\c\n\t/"
     (Option.get (Json.to_str (ok {|"a\"b\\c\n\t\/"|})));
   checks "unicode escape" "\xe2\x82\xac"
-    (Option.get (Json.to_str (ok {|"€"|})));
+    (Option.get (Json.to_str (ok {|"\u20ac"|})));
+  checks "upper-case hex digits" "\xc3\xa9"
+    (Option.get (Json.to_str (ok {|"\u00E9"|})));
   checks "surrogate pair" "\xf0\x9d\x84\x9e"
-    (Option.get (Json.to_str (ok {|"𝄞"|})));
+    (Option.get (Json.to_str (ok {|"\ud834\udd1e"|})));
+  List.iter
+    (fun (text, x) ->
+      Alcotest.check (Alcotest.float 0.) text x
+        (Option.get (Json.to_number (ok text))))
+    [
+      ("0", 0.); ("-0", -0.); ("10", 10.); ("2.50", 2.5); ("1E+2", 100.);
+      ("-0.5e-3", -0.5e-3); ("0e0", 0.);
+    ];
   checki "array" 3
     (List.length (Option.get (Json.to_list (ok "[1, 2, 3]"))));
   let obj = ok {|{"a": 1, "b": {"c": [true]}}|} in
@@ -77,7 +87,18 @@ let test_json_parse_rejects () =
   checkb "truncated string" true (bad {|"abc|});
   checkb "trailing garbage" true (bad "{} x");
   checkb "bare word" true (bad "nope");
-  checkb "lone minus" true (bad "-")
+  checkb "lone minus" true (bad "-");
+  (* strict RFC 8259: exactly four hex digits per \u escape, and the
+     number grammar without leading zeros, bare dots or '+' signs *)
+  List.iter
+    (fun s -> checkb (Printf.sprintf "%S" s) true (bad s))
+    [
+      {|"\u0_41"|}; {|"\u00g1"|}; {|"\u+041"|}; {|"\u 041"|}; {|"\u004"|};
+      "1."; "01"; "-01"; "00"; ".5"; "-.5"; "+1"; "1e"; "1e+"; "1.e5";
+      "0x10"; "[1.,2]"; {|{"a":01}|};
+      (* lone or mismatched UTF-16 surrogates encode no character *)
+      {|"\ud834"|}; {|"\udd1e"|}; {|"\ud834\u0041"|}; {|"\ud834x"|};
+    ]
 
 let test_json_float_roundtrip () =
   (* the determinism contract: parsing a Json.float rendering and

@@ -426,7 +426,7 @@ let test_diagnostic_json () =
     D.make ~code:"GLC002" ~severity:D.Error ~subject:(D.Species "G\"FP")
       "says \"never\""
   in
-  let j = D.to_json d in
+  let j = Json.to_string (D.json d) in
   match Json.parse j with
   | Error e -> Alcotest.failf "diagnostic JSON does not parse: %s" e
   | Ok v ->

@@ -26,7 +26,7 @@
    (serve.jobs_failed matches serve_jobs_failed). Exits nonzero with a
    message on any mismatch. *)
 
-module Json = Glc_core.Report.Json
+module Json = Glc_json
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("check_metrics: " ^ m); exit 1) fmt
 
@@ -84,7 +84,7 @@ let check_json ?(ensemble = true) path text maxes mins =
   let doc =
     match Json.parse text with
     | Ok doc -> doc
-    | Error m -> fail "does not parse with Report.Json: %s" m
+    | Error m -> fail "does not parse as JSON: %s" m
   in
   let det = member doc "deterministic" in
   let counters = member det "counters" in
