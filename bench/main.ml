@@ -7,6 +7,8 @@
                                  ssa     -- sparse-engine benchmark,
                                             writes BENCH_ssa.json
                                  symbolic -- certified-first vs SSA-only
+                                 ode     -- atlas delay phase + RK4 step,
+                                            writes BENCH_ode.json
 
    Absolute numbers differ from the paper (our substrate is a re-built
    simulator, not the authors' testbed); the *shape* of each result is
@@ -1114,6 +1116,117 @@ let space_bench () =
   close_out oc;
   Printf.printf "wrote BENCH_space.json\n"
 
+(* ---- ODE: the atlas delay phase and the RK4 step (lib/ssa/ode) ---- *)
+
+(* The atlas's delay phase over the whole 3-input space at the paper
+   protocol, exactly as [Atlas.run] schedules it: one pool task per
+   function that assembles the Cello circuit and measures its
+   worst-case ODE delay. Best of 3 wall times at 1 domain and at
+   nproc domains (the delays must agree bit for bit). Then the RK4 step
+   itself on 0x69, the largest circuit of the space: steps per second
+   and minor-heap words per step, the latter as the difference between
+   a 2N-step and an N-step run so the per-run workspace cancels. Writes
+   BENCH_ode.json (CI uploads it as an artifact). *)
+let ode_bench () =
+  section "ODE -- atlas delay phase (256 functions) and RK4 step";
+  let module Atlas = Glc_space.Atlas in
+  let module Grid = Glc_campaign.Grid in
+  let module Runner = Glc_campaign.Runner in
+  let module Pool = Glc_engine.Pool in
+  let module Compiled = Glc_ssa.Compiled in
+  let module Ode = Glc_ssa.Ode in
+  let module Json = Glc_json in
+  let spec = Atlas.plan Atlas.default_config in
+  let tasks =
+    Array.of_list
+      (List.map
+         (fun (job : Grid.job) ->
+           (job.Grid.j_circuit, Runner.job_protocol spec job))
+         (Grid.expand spec.Grid.grid))
+  in
+  let repeats = 3 in
+  let phase jobs =
+    Pool.with_pool ~jobs (fun pool ->
+        let best = ref infinity and delays = ref [||] in
+        for _ = 1 to repeats do
+          let t0 = Unix.gettimeofday () in
+          let r =
+            Pool.map pool
+              (fun _ (name, protocol) ->
+                match Runner.resolve name with
+                | Ok c -> Atlas.measure_delay ~protocol c
+                | Error e -> failwith e)
+              tasks
+          in
+          best := Float.min !best (Unix.gettimeofday () -. t0);
+          delays :=
+            Array.map
+              (function
+                | Ok d -> d | Error e -> failwith e.Pool.message)
+              r
+        done;
+        (!best, !delays))
+  in
+  let nproc = Pool.default_jobs () in
+  let wall_1, delays_1 = phase 1 in
+  let wall_n, delays_n = phase nproc in
+  let identical = delays_1 = delays_n in
+  Printf.printf "%-28s %10s\n" "delay phase (256 functions)" "best s";
+  Printf.printf "%-28s %10.3f\n" "-j 1" wall_1;
+  Printf.printf "%-28s %10.3f   (%.2fx)\n"
+    (Printf.sprintf "-j %d" nproc)
+    wall_n (wall_1 /. wall_n);
+  let c = Compiled.compile (Circuit.model (Cello.of_code 0x69)) in
+  let steps = 20_000 in
+  let run n =
+    Ode.run_compiled
+      (Ode.config ~dt:1. ~step:1. ~t_end:(float_of_int n) ())
+      c
+  in
+  let words n =
+    let w0 = Gc.minor_words () in
+    ignore (run n);
+    Gc.minor_words () -. w0
+  in
+  ignore (run steps);
+  let best = ref infinity in
+  for _ = 1 to repeats do
+    let t0 = Unix.gettimeofday () in
+    ignore (run steps);
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  let steps_per_s = float_of_int steps /. !best in
+  let words_per_step =
+    (words (2 * steps) -. words steps) /. float_of_int steps
+  in
+  Printf.printf
+    "RK4 on 0x69 (%d reactions): %.0f steps/s, %.2f minor words per step\n"
+    (Array.length c.Compiled.c_reactions)
+    steps_per_s words_per_step;
+  Printf.printf "delays identical at -j 1 and -j %d: %s\n" nproc
+    (if identical then "yes" else "NO!");
+  let oc = open_out "BENCH_ode.json" in
+  output_string oc
+    (Json.to_string
+       (Json.Object
+          [
+            ("bench", Json.String "ode");
+            ("functions", Json.Int (Array.length tasks));
+            ("repeats", Json.Int repeats);
+            ("delay_phase_s_j1", Json.Number wall_1);
+            ("delay_phase_s_jn", Json.Number wall_n);
+            ("jobs", Json.Int nproc);
+            ("delays_identical", Json.Bool identical);
+            ("rk4_circuit", Json.String "0x69");
+            ("rk4_reactions", Json.Int (Array.length c.Compiled.c_reactions));
+            ("rk4_steps_per_s", Json.Number steps_per_s);
+            ("rk4_words_per_step", Json.Number words_per_step);
+          ]));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote BENCH_ode.json\n";
+  if not identical then exit 1
+
 (* ---- observability: instrumentation overhead (lib/obs) ---- *)
 
 (* The Table-1 workload — all 15 benchmark circuits under the paper's
@@ -1181,6 +1294,7 @@ let all () =
   bench_ssa ();
   bench_symbolic ();
   space_bench ();
+  ode_bench ();
   obs_bench ();
   timing ()
 
@@ -1211,13 +1325,14 @@ let () =
       | "ssa" -> bench_ssa ()
       | "symbolic" -> bench_symbolic ()
       | "space" -> space_bench ()
+      | "ode" -> ode_bench ()
       | "obs" -> obs_bench ()
       | "all" -> all ()
       | other ->
           Printf.eprintf
             "unknown artefact %S \
              (fig2|fig3|fig4|fig5|table1|timing|ablation_hold|ablation_fov|\
-             ablation_algorithms|ablation_yield|ablation_order|baselines|population|scaling|ensemble|campaign|ssa|symbolic|space|obs|all)\n"
+             ablation_algorithms|ablation_yield|ablation_order|baselines|population|scaling|ensemble|campaign|ssa|symbolic|space|ode|obs|all)\n"
             other;
           exit 2)
     jobs

@@ -1414,9 +1414,14 @@ module Space = struct
       dir s.Atlas.a_functions s.Atlas.a_done s.Atlas.a_verified
       s.Atlas.a_failed s.Atlas.a_remaining s.Atlas.a_delays
       s.Atlas.a_delays_total;
+    List.iter
+      (fun (name, message) ->
+        Format.printf "delay %s failed: %s@." name message)
+      s.Atlas.a_delay_failures;
     if
       s.Atlas.a_remaining > 0 || s.Atlas.a_failed > 0
       || s.Atlas.a_delays < s.Atlas.a_delays_total
+      || s.Atlas.a_delay_failures <> []
     then exit_incomplete
     else 0
 

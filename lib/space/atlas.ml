@@ -6,10 +6,12 @@ module Certificate = Glc_symbolic.Certificate
 module Circuit = Glc_gates.Circuit
 module Protocol = Glc_dvasim.Protocol
 module Ode = Glc_ssa.Ode
+module Compiled = Glc_ssa.Compiled
 module Events = Glc_ssa.Events
 module Trace = Glc_ssa.Trace
 module Truth_table = Glc_logic.Truth_table
 module Metrics = Glc_obs.Metrics
+module Pool = Glc_engine.Pool
 module Json = Glc_json
 
 type config = {
@@ -118,7 +120,7 @@ let measure_delay ~protocol circuit =
                   (level (Circuit.input_value circuit ~row:to_row j));
               ])))
   in
-  let model = Circuit.model circuit in
+  let compiled = Compiled.compile (Circuit.model circuit) in
   (* the deterministic limit at a coarse unit step: accurate to the
      trace-sampling resolution the stochastic analyser itself uses, and
      cheap enough to scan all 256 functions in seconds *)
@@ -135,21 +137,24 @@ let measure_delay ~protocol circuit =
   let worst = ref None and measured = ref 0 in
   List.iter
     (fun (from_row, to_row, rising) ->
-      let trace = Ode.run ~events:(events ~from_row ~to_row) cfg model in
+      let crossed x = if rising then x >= threshold else x < threshold in
+      (* only the output is read, and nothing after its first crossing
+         can change the measurement: record that one column and stop
+         integrating there (the trace is a prefix of the full one) *)
+      let until t sample = t >= settle && crossed sample.(0) in
+      let trace =
+        Ode.run_compiled ~events:(events ~from_row ~to_row) ~until
+          ~record:[| circuit.Circuit.output |] cfg compiled
+      in
       let out = Trace.column trace circuit.Circuit.output in
       let n = Trace.length trace in
       let crossing = ref None in
       (try
          for k = 0 to n - 1 do
            let t = Trace.time trace k in
-           if t >= settle then begin
-             let crossed =
-               if rising then out.(k) >= threshold else out.(k) < threshold
-             in
-             if crossed then begin
-               crossing := Some (t -. settle);
-               raise Exit
-             end
+           if t >= settle && crossed out.(k) then begin
+             crossing := Some (t -. settle);
+             raise Exit
            end
          done
        with Exit -> ());
@@ -268,33 +273,65 @@ type summary = {
   a_remaining : int;
   a_delays : int;
   a_delays_total : int;
+  a_delay_failures : (string * string) list;
 }
 
-let measure_delays ?(metrics = Metrics.noop) ?(should_stop = fun () -> false)
-    store spec =
-  let synth = Metrics.counter metrics "space.delays_measured" in
-  List.iter
-    (fun name ->
-      let job = circuit_job spec name in
-      let id = delay_id name in
-      if
-        (not (should_stop ()))
-        && Store.mem store ~id:(Grid.job_id job)
-        && not (Store.mem store ~id)
-      then
-        match Runner.resolve name with
-        | Error _ -> ()
-        | Ok circuit ->
-            let protocol = Runner.job_protocol spec job in
-            let t0 = Unix.gettimeofday () in
-            let d = measure_delay ~protocol circuit in
-            Metrics.observe_since metrics "space.delay_seconds" t0;
-            Metrics.Counter.incr synth;
-            Store.put store ~id (delay_doc ~name ~protocol d))
-    (spec_circuits spec)
+(* The delay phase: one pool task per completed function that lacks a
+   delay doc. A task polls [should_stop] before it starts — a stopped
+   task returns nothing and a later run measures that function — then
+   resolves the circuit by name and measures it. Workers never touch
+   [metrics] or the store: the calling domain stores the results, bumps
+   the counters and observes the per-function seconds in plan order, so
+   the store's contents do not depend on the worker count. A task that
+   raises (a kinetic law evaluating to NaN, say) stores nothing and is
+   returned as a (function, message) failure. *)
+let measure_delays ~jobs ~metrics ~should_stop store spec =
+  let live = Metrics.enabled metrics in
+  let measured = Metrics.counter metrics "space.delays_measured" in
+  let failed = Metrics.counter metrics "space.delay_failures" in
+  let seconds = Metrics.histogram metrics "space.delay_seconds" in
+  let pending =
+    List.filter_map
+      (fun name ->
+        let job = circuit_job spec name in
+        if
+          Store.mem store ~id:(Grid.job_id job)
+          && not (Store.mem store ~id:(delay_id name))
+        then Some (name, Runner.job_protocol spec job)
+        else None)
+      (spec_circuits spec)
+  in
+  let results =
+    Pool.with_pool ~jobs (fun pool ->
+        Pool.map pool
+          (fun _ (name, protocol) ->
+            if should_stop () then None
+            else
+              match Runner.resolve name with
+              | Error _ -> None
+              | Ok circuit ->
+                  let t0 = if live then Glc_obs.Clock.now () else 0. in
+                  let d = measure_delay ~protocol circuit in
+                  Some (d, if live then Glc_obs.Clock.now () -. t0 else 0.))
+          (Array.of_list pending))
+  in
+  List.mapi
+    (fun i (name, protocol) ->
+      match results.(i) with
+      | Ok None -> None
+      | Ok (Some (d, secs)) ->
+          if live then Metrics.Histogram.observe seconds secs;
+          Metrics.Counter.incr measured;
+          Store.put store ~id:(delay_id name) (delay_doc ~name ~protocol d);
+          None
+      | Error e ->
+          Metrics.Counter.incr failed;
+          Some (name, e.Pool.message))
+    pending
+  |> List.filter_map Fun.id
 
-let run ?jobs ?limit ?on_progress ?metrics ?should_stop
-    ?(certified_only = false) ~dir spec =
+let run ?(jobs = 0) ?limit ?on_progress ?metrics
+    ?(should_stop = fun () -> false) ?(certified_only = false) ~dir spec =
   let ( let* ) = Result.bind in
   let m = Option.value ~default:Metrics.noop metrics in
   let* store, spec, _plan_ignored = prepare ~dir spec in
@@ -311,12 +348,13 @@ let run ?jobs ?limit ?on_progress ?metrics ?should_stop
         names);
   let filter = if certified_only then Some (certified_filter spec) else None in
   let* _store, spec, s =
-    Resume.run ?jobs ?limit ?on_progress ?metrics ?should_stop ?filter ~dir ()
+    Resume.run ~jobs ?limit ?on_progress ?metrics ~should_stop ?filter ~dir ()
   in
-  let* () =
+  let* delay_failures =
     Metrics.span m "space:delays" (fun () ->
         Store.Lock.with_lock ~dir (fun () ->
-            measure_delays ~metrics:m ?should_stop store spec))
+            let jobs = if jobs = 0 then Pool.default_jobs () else jobs in
+            measure_delays ~jobs ~metrics:m ~should_stop store spec))
   in
   let lines = Store.lines store spec in
   let done_ = List.filter (fun l -> l.Store.l_done) lines in
@@ -334,6 +372,7 @@ let run ?jobs ?limit ?on_progress ?metrics ?should_stop
       a_remaining = List.length lines - List.length done_;
       a_delays = delays;
       a_delays_total = List.length done_;
+      a_delay_failures = delay_failures;
     }
 
 (* {2 Reporting} *)

@@ -80,7 +80,13 @@ type delay = {
 
 val measure_delay :
   protocol:Glc_dvasim.Protocol.t -> Glc_gates.Circuit.t -> delay
-(** Pure measurement (no store). Deterministic. *)
+(** Pure measurement (no store). Deterministic. Compiles the circuit
+    once for all its transitions, and stops each transition's
+    integration at the first sample past the switch that crosses the
+    threshold ({!Glc_ssa.Ode.run_compiled}'s [until]) — the result is
+    the one a full-length trace would give.
+    @raise Glc_ssa.Compiled.Non_finite_propensity when a kinetic law
+    evaluates to NaN or infinity; never a clamped delay. *)
 
 val delay_id : string -> string
 (** [delay-<circuit name>]. *)
@@ -103,6 +109,10 @@ type summary = {
   a_remaining : int;  (** functions still without a result *)
   a_delays : int;  (** delay docs present *)
   a_delays_total : int;  (** delay docs wanted (= done functions) *)
+  a_delay_failures : (string * string) list;
+      (** functions whose delay measurement raised this run (e.g.
+          [Glc_ssa.Compiled.Non_finite_propensity]), in plan order,
+          with the exception's message; nothing is stored for them *)
 }
 
 val run :
@@ -119,9 +129,22 @@ val run :
     {!Glc_campaign.Resume.run} (with {!certified_filter} when
     [certified_only]), then measure the delay of every completed
     function that lacks one. Records [space.functions_synthesised],
-    [space.functions_verified], [space.delays_measured] counters and
-    the [space.delay_seconds] histogram on [metrics]. Interruptible
-    between jobs and between delay measurements via [should_stop]. *)
+    [space.functions_verified], [space.delays_measured] and
+    [space.delay_failures] counters and the [space.delay_seconds]
+    histogram on [metrics].
+
+    The delays run on a pool of [jobs] worker domains (default and [0]:
+    {!Glc_engine.Pool.default_jobs}), one task per function. The calling
+    domain stores the results in plan order, so the store — and
+    {!space_json} — is byte-identical for any [jobs]. A measurement that
+    raises is reported in [a_delay_failures] instead of aborting the
+    run.
+
+    [should_stop] is the interrupt hook: polled between jobs, and by
+    every delay task before it starts (a stopped task stores nothing;
+    re-running measures the rest). Delay tasks poll it from worker
+    domains, so it must be domain-safe — an [Atomic] read, as glcv's
+    signal flag is. *)
 
 (** {2 Reporting} *)
 

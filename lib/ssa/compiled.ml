@@ -69,30 +69,6 @@ let () =
                    nf_state)))
     | _ -> None)
 
-(* Cold path, deliberately out of line. *)
-let non_finite t j p state =
-  raise
-    (Non_finite_propensity
-       {
-         nf_model = t.c_model.Model.m_id;
-         nf_reaction = t.c_reactions.(j).c_id;
-         nf_value = p;
-         nf_state =
-           Array.to_list (Array.mapi (fun i id -> (id, state.(i))) t.c_names);
-       })
-
-(* Every propensity that enters a simulator's cache goes through here:
-   finite negatives clamp to zero (a kinetic law may dip below zero
-   transiently in ill-parameterised models), but NaN and infinity raise.
-   The previous [Float.max 0.] clamp returned NaN for a NaN law value
-   (e.g. 0/0 at an empty state, or ln of a negative concentration),
-   which flowed silently into [a0], made every comparison false and
-   ended the run as if time had run out — a corrupted trace with no
-   diagnostic. *)
-let[@inline] clamp_checked t j p state =
-  if Float.is_finite p then if p > 0. then p else 0.
-  else non_finite t j p state
-
 (* Parameters are substituted by their constant values first, so only
    species remain — which is also what lets [fold] turn parameter
    arithmetic like [k^n] into constants before shape matching. *)
@@ -331,8 +307,32 @@ let species_index t id =
   in
   find 0
 
+(* Cold path, deliberately out of line. The law is pure, so evaluating
+   it again here reproduces the offending value exactly; taking it as an
+   argument instead would make [checked]'s value escape into a call,
+   and without flambda that boxes it on every evaluation. *)
+let[@inline never] non_finite t j state =
+  raise
+    (Non_finite_propensity
+       {
+         nf_model = t.c_model.Model.m_id;
+         nf_reaction = t.c_reactions.(j).c_id;
+         nf_value = eval_law t.c_reactions.(j).c_law state;
+         nf_state =
+           Array.to_list (Array.mapi (fun i id -> (id, state.(i))) t.c_names);
+       })
+
+(* Every propensity that enters a simulator's cache goes through here:
+   finite negatives clamp to zero (a kinetic law may dip below zero
+   transiently in ill-parameterised models), but NaN and infinity raise.
+   The previous [Float.max 0.] clamp returned NaN for a NaN law value
+   (e.g. 0/0 at an empty state, or ln of a negative concentration),
+   which flowed silently into [a0], made every comparison false and
+   ended the run as if time had run out — a corrupted trace with no
+   diagnostic. [p] never leaves this function, so it stays unboxed. *)
 let[@inline] checked t j state =
-  clamp_checked t j (eval_law t.c_reactions.(j).c_law state) state
+  let p = eval_law t.c_reactions.(j).c_law state in
+  if Float.is_finite p then if p > 0. then p else 0. else non_finite t j state
 
 let propensity t state j = checked t j state
 

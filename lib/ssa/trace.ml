@@ -213,7 +213,9 @@ module Recorder = struct
     r_dt : float;
     r_data : float array array;
     r_samples : int;
+    mutable r_until : (float -> float array -> bool) option;
     mutable r_next : int; (* next grid index to fill *)
+    mutable r_stopped : bool; (* [r_until] held at sample [r_next - 1] *)
     mutable r_state : float array; (* state holding from the last observe *)
     mutable r_last_time : float;
   }
@@ -230,7 +232,9 @@ module Recorder = struct
       r_dt = dt;
       r_data = Array.init (Array.length names) (fun _ -> Array.make samples 0.);
       r_samples = samples;
+      r_until = None;
       r_next = 0;
+      r_stopped = false;
       r_state = Array.copy initial;
       r_last_time = t0;
     }
@@ -238,11 +242,19 @@ module Recorder = struct
   let fill_until r t =
     (* Grid points strictly before [t] take the held state. *)
     while
-      r.r_next < r.r_samples
+      (not r.r_stopped)
+      && r.r_next < r.r_samples
       && r.r_t0 +. (float_of_int r.r_next *. r.r_dt) < t
     do
-      Array.iteri (fun s col -> col.(r.r_next) <- r.r_state.(s)) r.r_data;
-      r.r_next <- r.r_next + 1
+      let k = r.r_next in
+      for s = 0 to Array.length r.r_data - 1 do
+        r.r_data.(s).(k) <- r.r_state.(s)
+      done;
+      r.r_next <- k + 1;
+      match r.r_until with
+      | Some until ->
+          r.r_stopped <- until (r.r_t0 +. (float_of_int k *. r.r_dt)) r.r_state
+      | None -> ()
     done
 
   let observe r t state =
@@ -252,8 +264,14 @@ module Recorder = struct
     r.r_last_time <- t;
     Array.blit state 0 r.r_state 0 (Array.length state)
 
+  let stop_when r until = r.r_until <- Some until
+  let stopped r = r.r_stopped
+
   let finish r =
     fill_until r infinity;
-    { names = r.r_names; t0 = r.r_t0; dt = r.r_dt; data = r.r_data;
-      memo = None }
+    let data =
+      if r.r_next = r.r_samples then r.r_data
+      else Array.map (fun col -> Array.sub col 0 r.r_next) r.r_data
+    in
+    { names = r.r_names; t0 = r.r_t0; dt = r.r_dt; data; memo = None }
 end

@@ -109,7 +109,21 @@ module Recorder : sig
   (** [observe r t state] records that the system state is [state] from
       time [t] on. Times must be non-decreasing. *)
 
+  val stop_when : t -> (float -> float array -> bool) -> unit
+  (** [stop_when r until] arms an early finish: from now on, every grid
+      sample [k] the recorder fills is followed by [until (time k)
+      state], where [state] is exactly the recorded sample (read-only;
+      the recorder reuses the array). The first sample where it holds
+      stops the recorder: later {!observe}s record nothing and
+      {!finish} returns samples [0 .. k] — a prefix of the trace an
+      unarmed recorder would have produced. *)
+
+  val stopped : t -> bool
+  (** Whether the {!stop_when} predicate has held — the signal for the
+      caller to stop simulating. *)
+
   val finish : t -> trace
-  (** Fills the remaining grid with the last observed state and returns
+  (** Fills the remaining grid with the last observed state (up to the
+      stopping sample, if {!stop_when} fires on the way) and returns
       the trace. The recorder must not be used afterwards. *)
 end

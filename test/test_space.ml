@@ -43,6 +43,8 @@ let with_dir f =
 let with_dirs2 f =
   with_dir (fun a -> with_dir (fun b -> f a b))
 
+let with_dirs3 f = with_dirs2 (fun a b -> with_dir (fun c -> f a b c))
+
 (* ---- NPN classification ---- *)
 
 (* The published pin: 14 NPN classes cover the 256 3-input functions.
@@ -213,6 +215,42 @@ let test_measure_delay () =
   in
   checkb "deterministic" true (d = d')
 
+(* Early stopping and the single compile change nothing: over the whole
+   3-input space, the measurement equals the full-trace scan of the
+   allocating reference integrator. *)
+let test_measure_delay_oracle () =
+  List.iter
+    (fun code ->
+      let c = Cello.of_code code in
+      if
+        Atlas.measure_delay ~protocol:light_protocol c
+        <> Ode_oracle.measure_delay ~protocol:light_protocol c
+      then
+        Alcotest.failf "%s: delay differs from the full-trace scan"
+          (Fn.name_of_code ~arity:3 code))
+    (Fn.all_codes ~arity:3)
+
+(* zero binding constants make every repression factor 0/0 at an empty
+   regulator: the measurement must raise the typed error, never clamp
+   the NaN into a delay *)
+let test_measure_delay_non_finite () =
+  let c = Cello.of_code 0x1C in
+  let c =
+    {
+      c with
+      Glc_gates.Circuit.regulator_affinity =
+        List.map
+          (fun (p, (_, n)) -> (p, (0., n)))
+          c.Glc_gates.Circuit.regulator_affinity;
+    }
+  in
+  match Atlas.measure_delay ~protocol:light_protocol c with
+  | exception Glc_ssa.Compiled.Non_finite_propensity { nf_value; _ } ->
+      checkb "the payload is the NaN" true (Float.is_nan nf_value)
+  | d ->
+      Alcotest.failf "expected Non_finite_propensity, got %d measured"
+        d.Atlas.d_measured
+
 (* ---- the atlas: kill + resume = byte-identical SPACE.json ---- *)
 
 let light_config =
@@ -247,23 +285,47 @@ let test_plan_validation () =
     | _ -> false)
 
 let test_atlas_resume_identical () =
-  with_dirs2 (fun dir_a dir_b ->
+  with_dirs3 (fun dir_a dir_b dir_c ->
       let spec = Atlas.plan light_config in
-      (* uninterrupted reference run *)
-      let sa = Result.get_ok (Atlas.run ~dir:dir_a spec) in
+      (* uninterrupted reference run, counting interrupt polls; delay
+         tasks poll from worker domains, so the hook is an Atomic *)
+      let polls = Atomic.make 0 in
+      let sa =
+        Result.get_ok
+          (Atlas.run
+             ~should_stop:(fun () ->
+               Atomic.incr polls;
+               false)
+             ~dir:dir_a spec)
+      in
       checki "all done" sa.Atlas.a_functions sa.Atlas.a_done;
       checki "nothing pending" 0 sa.Atlas.a_remaining;
       checki "all delays" sa.Atlas.a_delays_total sa.Atlas.a_delays;
+      checkb "no delay failures" true (sa.Atlas.a_delay_failures = []);
       (* killed after 3 jobs, then resumed *)
       let sb = Result.get_ok (Atlas.run ~limit:3 ~dir:dir_b spec) in
       checkb "limit leaves work" true (sb.Atlas.a_remaining > 0);
       let sb' = Result.get_ok (Atlas.run ~dir:dir_b spec) in
       checki "resume finishes" 0 sb'.Atlas.a_remaining;
+      (* interrupted inside the delay phase: the run polls once per job,
+         then once per delay task, so stopping from poll [jobs + 2] on
+         lets exactly two delay tasks measure *)
+      let job_polls = Atomic.get polls - sa.Atlas.a_delays in
+      let seen = Atomic.make 0 in
+      let stop () = Atomic.fetch_and_add seen 1 >= job_polls + 2 in
+      let sc = Result.get_ok (Atlas.run ~should_stop:stop ~dir:dir_c spec) in
+      checki "every job ran before the interrupt" 0 sc.Atlas.a_remaining;
+      checki "two delays before the interrupt" 2 sc.Atlas.a_delays;
+      let sc' = Result.get_ok (Atlas.run ~dir:dir_c spec) in
+      checki "resume measures the rest" sc'.Atlas.a_delays_total
+        sc'.Atlas.a_delays;
       let json dir =
         let store, spec' = Result.get_ok (Glc_campaign.Resume.load ~dir) in
         Atlas.space_json store spec'
       in
       checks "byte-identical SPACE.json" (json dir_a) (json dir_b);
+      checks "byte-identical SPACE.json after a mid-delay interrupt"
+        (json dir_a) (json dir_c);
       (* and the markdown renders from it *)
       (match Atlas.markdown (json dir_a) with
       | Error e -> Alcotest.fail e
@@ -535,6 +597,10 @@ let () =
         [
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
           Alcotest.test_case "measure delay" `Quick test_measure_delay;
+          Alcotest.test_case "measure delay matches the full-trace oracle"
+            `Slow test_measure_delay_oracle;
+          Alcotest.test_case "non-finite law is a typed delay error" `Quick
+            test_measure_delay_non_finite;
           Alcotest.test_case "kill + resume identical" `Quick
             test_atlas_resume_identical;
           Alcotest.test_case "certified only" `Quick

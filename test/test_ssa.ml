@@ -1401,6 +1401,175 @@ let prop_ir_ast_trace_equivalence =
       in
       String.equal (run Compiled.Shape) (run Compiled.Ast))
 
+(* ---- ODE: oracle equivalence, early stop, allocation ---- *)
+
+module Ode = Glc_ssa.Ode
+
+(* bit-for-bit trace equality, NaN payloads and signed zeros included *)
+let same_trace a b =
+  Trace.names a = Trace.names b
+  && Trace.length a = Trace.length b
+  && Array.for_all
+       (fun id ->
+         let ca = Trace.column a id and cb = Trace.column b id in
+         Array.for_all2 same_bits ca cb)
+       (Trace.names a)
+
+(* a few input steps at random times, on random species of the model *)
+let random_events st (m : Model.t) ~t_end =
+  let ids = Array.of_list (List.map (fun (s : Model.species) -> s.s_id) m.m_species) in
+  Events.of_list
+    (List.init (Random.State.int st 4) (fun _ ->
+         Events.set
+           (Float.round (Random.State.float st t_end *. 4.) /. 4.)
+           ids.(Random.State.int st (Array.length ids))
+           (float_of_int (Random.State.int st 60))))
+
+let random_ode_case seed =
+  let st = Random.State.make [| seed; 7 |] in
+  let m = random_mass_action_model seed in
+  let t_end = 30. in
+  let step = [| 0.1; 0.25; 1.0 |].(Random.State.int st 3) in
+  (m, random_events st m ~t_end, Ode.config ~step ~t_end ())
+
+let prop_ode_oracle_random =
+  QCheck.Test.make
+    ~name:"ODE traces bit-identical to the allocating oracle (random models)"
+    ~count:100 QCheck.small_int (fun seed ->
+      let m, events, cfg = random_ode_case seed in
+      let c = Compiled.compile m in
+      same_trace
+        (Ode.run_compiled ~events cfg c)
+        (Ode_oracle.run_compiled ~events cfg c))
+
+let test_ode_oracle_circuits () =
+  let protocol =
+    Glc_dvasim.Protocol.make ~total_time:400. ~hold_time:100. ()
+  in
+  List.iter
+    (fun circuit ->
+      let events = Glc_dvasim.Experiment.input_schedule protocol circuit in
+      let c = Compiled.compile (Glc_gates.Circuit.model circuit) in
+      List.iter
+        (fun step ->
+          let cfg = Ode.config ~step ~t_end:400. () in
+          checkb
+            (Printf.sprintf "%s at step %g: bit-identical to the oracle"
+               circuit.Glc_gates.Circuit.name step)
+            true
+            (same_trace
+               (Ode.run_compiled ~events cfg c)
+               (Ode_oracle.run_compiled ~events cfg c)))
+        [ 0.1; 1.0 ])
+    (Glc_gates.Benchmarks.all ())
+
+(* [run_compiled ~until] returns the full trace cut at the first sample
+   where [until] holds, and [until] sees exactly the recorded samples,
+   in order; [~record] keeps a subset of the columns bit for bit *)
+let prop_ode_until_prefix =
+  QCheck.Test.make ~name:"ODE ~until returns the prefix ending at the first hit"
+    ~count:100 QCheck.small_int (fun seed ->
+      let m, events, cfg = random_ode_case seed in
+      let c = Compiled.compile m in
+      let st = Random.State.make [| seed; 11 |] in
+      let i = Random.State.int st (Array.length c.Compiled.c_names) in
+      let level = float_of_int (Random.State.int st 50) in
+      let t_min = float_of_int (Random.State.int st 20) in
+      let holds t v = t >= t_min && v >= level in
+      let full = Ode.run_compiled ~events cfg c in
+      let seen = ref [] in
+      let until t state =
+        seen := (t, Array.copy state) :: !seen;
+        holds t state.(i)
+      in
+      let pre = Ode.run_compiled ~events ~until cfg c in
+      let col = Trace.column full c.Compiled.c_names.(i) in
+      let n = Trace.length full in
+      let rec first k =
+        if k >= n then n
+        else if holds (Trace.time full k) col.(k) then k + 1
+        else first (k + 1)
+      in
+      let expected = first 0 in
+      let seen = List.rev !seen in
+      (* recording only species [i] integrates the same system: its
+         column, and where the run stops, are unchanged *)
+      let id = c.Compiled.c_names.(i) in
+      let one =
+        Ode.run_compiled ~events ~record:[| id |]
+          ~until:(fun t sample -> holds t sample.(0))
+          cfg c
+      in
+      Trace.names one = [| id |]
+      && Array.for_all2 same_bits (Trace.column one id) (Trace.column pre id)
+      && Trace.length pre = expected
+      && same_trace pre (Trace.sub full ~from:0 ~until:expected)
+      && List.length seen = expected
+      && List.for_all2
+           (fun k (t, state) ->
+             same_bits t (Trace.time full k)
+             && Array.for_all2 same_bits state
+                  (Array.map (fun id -> Trace.value full id k) (Trace.names full)))
+           (List.init expected Fun.id) seen)
+
+(* words the calling domain allocates on the minor heap while running
+   [f], net of the measurement's own cost *)
+let minor_words f =
+  let probe () =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let empty () =
+    let w0 = Gc.minor_words () in
+    Gc.minor_words () -. w0
+  in
+  ignore (probe ());
+  probe () -. empty ()
+
+(* The integrator's allocation budget on 0x69 (the 12-gate parity
+   circuit, the space's largest model) and a Table-1 circuit:
+   propensities are written into the caller's buffer without boxing a
+   single law value, and an RK4 step at [step = dt] allocates a small
+   constant (the boxed time handed to the recorder), independent of
+   the reaction count. Per-step words are measured as the difference
+   between a 2N-step and an N-step run, which cancels the per-run
+   workspace; the recorder's N-sample columns are major-heap
+   allocations and do not count. *)
+let test_ode_allocation () =
+  List.iter
+    (fun circuit ->
+      let name = circuit.Glc_gates.Circuit.name in
+      let c = Compiled.compile (Glc_gates.Circuit.model circuit) in
+      let state = Array.copy c.Compiled.c_initial in
+      let a = Array.make (Array.length c.Compiled.c_reactions) 0. in
+      let words =
+        minor_words (fun () ->
+            for _ = 1 to 1000 do
+              Compiled.propensities_into c state a
+            done)
+      in
+      checkb
+        (Printf.sprintf "%s: propensities_into allocates 0 words (got %g)"
+           name words)
+        true (words = 0.);
+      let steps = 1000 in
+      let run n =
+        minor_words (fun () ->
+            ignore
+              (Ode.run_compiled
+                 (Ode.config ~dt:1. ~step:1. ~t_end:(float_of_int n) ())
+                 c))
+      in
+      let per_step = (run (2 * steps) -. run steps) /. float_of_int steps in
+      checkb
+        (Printf.sprintf "%s: %d reactions, %g words per RK4 step (<= 16)"
+           name
+           (Array.length c.Compiled.c_reactions)
+           per_step)
+        true (per_step <= 16.))
+    [ Glc_space.Fn.circuit ~arity:3 0x69; Glc_gates.Circuits.genetic_and () ]
+
 (* ---- non-finite propensities ---- *)
 
 (* The headline bugfix: a kinetic law evaluating to NaN used to slip
@@ -1642,5 +1811,9 @@ let () =
             test_ode_birth_death;
           Alcotest.test_case "events" `Quick test_ode_events;
           Alcotest.test_case "steady state" `Quick test_ode_steady_state;
-        ] );
+          Alcotest.test_case "oracle on Table-1 circuits" `Quick
+            test_ode_oracle_circuits;
+          Alcotest.test_case "allocation budget" `Quick test_ode_allocation;
+        ]
+        @ qc [ prop_ode_oracle_random; prop_ode_until_prefix ] );
     ]
